@@ -129,16 +129,15 @@ struct BatchQuery {
 /// GOptEngine: the end-to-end facade. Planning runs as a declarative pass
 /// pipeline (opt/pipeline) selected by PlannerMode — parse -> RBO -> type
 /// inference -> CBO -> physical conversion — followed by execution on the
-/// configured backend: GraphScope-like distributed, or single-machine via
-/// either the sequential row-at-a-time executor (exec_threads == 1, the
-/// default) or the morsel-driven parallel batch runtime (exec_threads !=
-/// 1; see docs/executor.md). With EngineOptions::partitions > 0 the
-/// engine shards its graph into a PartitionedGraph at construction
-/// (docs/storage.md): the distributed backend then runs one worker per
-/// partition with ownership-map exchanges, the single-machine backend
-/// routes to the morsel runtime with partition-granular scan morsels
-/// (even at exec_threads == 1), and the CBO prices communication with
-/// the store's measured edge-cut.
+/// configured backend: GraphScope-like distributed, or single-machine on
+/// the morsel-driven batch runtime with EngineOptions::exec_threads
+/// workers (inline on the calling thread at 1; see docs/executor.md).
+/// With EngineOptions::partitions > 0 the engine shards its graph into a
+/// PartitionedGraph at construction (docs/storage.md): the distributed
+/// backend then runs one worker per partition with ownership-map
+/// exchanges, the single-machine runtime splits scans into
+/// partition-granular morsels, and the CBO prices communication with the
+/// store's measured edge-cut.
 ///
 /// Prepared plans are a prepared-statement subsystem, not just a memoizer:
 /// Prepare first auto-parameterizes the query (constant tokens become $__pN
@@ -219,14 +218,13 @@ class GOptEngine {
 
   /// Human-readable plan description (logical + pattern plans + physical +
   /// the per-pass PlanTrace with millisecond timings, per-pattern CBO
-  /// timings, and the plan-cache counters). When the morsel runtime is
-  /// configured (exec_threads != 1 on the single-machine backend), also
-  /// shows the pipeline decomposition the plan executes as.
+  /// timings, and the plan-cache counters). On a non-distributed backend
+  /// also shows the pipeline decomposition the plan executes as.
   std::string Explain(const Prepared& prep) const;
 
   /// Explain plus an "Execution" section for one finished run of the plan:
   /// per-pipeline wall-clock timings, morsel counts, worker counts and row
-  /// counts (morsel runtime), or the executor totals otherwise.
+  /// counts (single-machine runtime), or the executor totals otherwise.
   std::string Explain(const Prepared& prep, const ExecOutcome& outcome) const;
 
   /// Snapshot of the prepared-plan cache counters (hits / misses /
@@ -352,8 +350,8 @@ class GOptEngine {
                      const CancelToken& cancel) const;
   /// Runs one physical plan on the configured backend with `bound`
   /// parameter bindings, accumulating metrics into *stats. `pipelines` is
-  /// the plan's prebuilt decomposition for the morsel runtime (null: built
-  /// on the fly — the spliced-plan path of ExecuteBatch). `store` is the
+  /// the plan's prebuilt decomposition for the morsel runtime (null: the
+  /// executor builds it — the spliced-plan path of ExecuteBatch). `store` is the
   /// store generation snapshotted by the caller (one snapshot per
   /// Execute/ExecuteBatch, so a whole call executes on one generation).
   /// The shared backend-dispatch of Execute and ExecuteBatch.

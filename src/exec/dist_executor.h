@@ -5,8 +5,11 @@
 #include <memory>
 #include <string>
 
+#include "src/common/cancel.h"
 #include "src/common/hash.h"
 #include "src/exec/executor.h"
+#include "src/exec/kernels.h"
+#include "src/exec/result.h"
 #include "src/store/partitioned_graph.h"
 
 namespace gopt {

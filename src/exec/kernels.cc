@@ -1506,27 +1506,6 @@ std::vector<Row> Kernels::MergeSortedLimit(
 }
 
 // ---------------------------------------------------------------------------
-// Batch wrappers over the blocking kernels
-// ---------------------------------------------------------------------------
-
-Batch Kernels::AggregateBatches(const PhysOp& op,
-                                const std::vector<Batch>& in) const {
-  return Batch::FromRows(Aggregate(op, RowsFromBatches(in)),
-                         op.out_cols.size());
-}
-
-Batch Kernels::SortLimitBatches(const PhysOp& op,
-                                const std::vector<Batch>& in) const {
-  return Batch::FromRows(SortLimit(op, RowsFromBatches(in)),
-                         op.out_cols.size());
-}
-
-Batch Kernels::DedupBatches(const PhysOp& op,
-                            const std::vector<Batch>& in) const {
-  return Batch::FromRows(Dedup(op, RowsFromBatches(in)), op.out_cols.size());
-}
-
-// ---------------------------------------------------------------------------
 // Column permutation
 // ---------------------------------------------------------------------------
 

@@ -40,14 +40,13 @@ struct JoinHashTable {
 /// they consume and produce columnar Batches, filters refining the
 /// selection vector in place — and are what the morsel-driven runtime
 /// (src/exec/morsel.cc) schedules. The row-vector entry points used by
-/// the sequential and distributed executors share the same semantics:
-/// most are lossless adapters over the batch kernels (converting at the
-/// boundary, one extra value copy each way), while the two where that
-/// boundary would dominate — Filter and Project — keep trivially
-/// equivalent row-native bodies. The blocking kernels (aggregate,
-/// sort/limit, dedup, union, join build) materialize by nature and stay
-/// row-based; Batch wrappers are provided for the morsel runtime's
-/// pipeline sinks.
+/// the distributed executor share the same semantics: most are lossless
+/// adapters over the batch kernels (converting at the boundary, one extra
+/// value copy each way), while the two where that boundary would
+/// dominate — Filter and Project — keep trivially equivalent row-native
+/// bodies. The blocking kernels (aggregate, sort/limit, dedup, union,
+/// join build) materialize by nature and stay row-based; both runtimes
+/// call them on materialized rows at pipeline breakers.
 class Kernels {
  public:
   /// `pstore` (optional) attaches a sharded store. All graph reads are
@@ -150,13 +149,7 @@ class Kernels {
   std::vector<Row> AggregateBatchRows(const PhysOp& op,
                                       const std::vector<Batch>& in) const;
 
-  /// Batch wrappers over the blocking kernels (materialize internally).
-  Batch AggregateBatches(const PhysOp& op,
-                         const std::vector<Batch>& in) const;
-  Batch SortLimitBatches(const PhysOp& op, const std::vector<Batch>& in) const;
-  Batch DedupBatches(const PhysOp& op, const std::vector<Batch>& in) const;
-
-  // ---- row-vector adapters (sequential + distributed executors) ----
+  // ---- row-vector adapters (distributed executor) ----
 
   /// Whole-domain vertex scan; with W > 1 only vertices owned by `worker`.
   std::vector<Row> Scan(const PhysOp& op, int worker = 0, int W = 1) const;
@@ -176,9 +169,8 @@ class Kernels {
                         const std::vector<Row>& right) const;
 
   /// Union splice: appends `right` (column-mapped into the union layout)
-  /// to `left`, deduplicating when `op.union_distinct`. Shared by the
-  /// sequential executor and the morsel runtime's union sink so the two
-  /// can never diverge.
+  /// to `left`, deduplicating when `op.union_distinct`. The morsel
+  /// runtime's union sink.
   std::vector<Row> Union(const PhysOp& op, std::vector<Row> left,
                          std::vector<Row> right) const;
 

@@ -219,6 +219,7 @@ void MorselExecutor::RunUnionSink(const Pipeline& p) {
       k_.Union(op, RowsFromBatches(results_.at(op.children[0].get())),
                RowsFromBatches(results_.at(op.children[1].get())));
   stats_.rows_produced += rows.size();
+  cancel_.AddRows(rows.size());
   results_[p.sink] =
       BatchesFromRows(rows, op.out_cols.size(), opts_.batch_rows);
 }
@@ -393,6 +394,9 @@ void MorselExecutor::RunPipeline(const Pipeline& p) {
       }
       stats_.rows_produced += rows.size();
       stats_.tuples_materialized += rows.size();
+      // Breaker outputs count toward the row budget like chain rows do, so
+      // the budget charges exactly ExecStats::rows_produced.
+      cancel_.AddRows(rows.size());
       results_[p.sink] =
           BatchesFromRows(rows, p.sink->out_cols.size(), opts_.batch_rows);
     } else {

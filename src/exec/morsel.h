@@ -4,9 +4,11 @@
 #include <map>
 #include <vector>
 
+#include "src/common/cancel.h"
 #include "src/exec/executor.h"
 #include "src/exec/kernels.h"
 #include "src/exec/pipeline.h"
+#include "src/exec/result.h"
 #include "src/opt/pipeline/planner_options.h"
 
 namespace gopt {
@@ -70,20 +72,22 @@ class MorselQueue {
 /// limit, dedup, union, join build sides) additionally see their whole
 /// input at once when their blocking kernel runs.
 ///
-/// With threads == 1 the runtime is fully sequential and deterministic;
-/// with N threads, results are identical (morsel outputs are reassembled
-/// in morsel order before any order-sensitive sink runs) and per-worker
-/// ExecStats are merged after every pipeline. The engine routes Execute
-/// here when EngineOptions::exec_threads != 1; differential tests
-/// (tests/batch_exec_test.cc) hold it equal to SingleMachineExecutor on
-/// every bundled workload.
+/// With threads == 1 the runtime is fully sequential and deterministic,
+/// running every morsel inline on the calling thread; with N threads,
+/// results are identical (morsel outputs are reassembled in morsel order
+/// before any order-sensitive sink runs) and per-worker ExecStats are
+/// merged after every pipeline. It is the engine's single-machine runtime
+/// at every EngineOptions::exec_threads; differential tests
+/// (tests/batch_exec_test.cc) hold it equal to the distributed executor's
+/// row kernels on every bundled workload.
 ///
-/// Unlike the Neo4j-like SingleMachineExecutor, this runtime implements
-/// the full operator repertoire, including ExpandIntersect.
+/// It implements the full operator repertoire, including ExpandIntersect.
+/// A backend's narrower repertoire (the Neo4j-like backend has no
+/// ExpandIntersect) is enforced at plan time by its BackendSpec, not here.
 ///
 /// Thread-confinement: one instance per Execute call (the worker threads
-/// it spawns internally are its own) — same contract as the other
-/// executors.
+/// it spawns internally are its own) — same contract as
+/// DistributedExecutor.
 class MorselExecutor {
  public:
   /// `pg` (optional) attaches a sharded store: scan pipelines then split

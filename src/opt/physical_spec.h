@@ -134,6 +134,8 @@ struct BackendSpec {
   std::vector<std::shared_ptr<JoinSpec>> joins;
 
   /// Neo4j-like sequential backend: ExpandInto + HashJoin, no comm cost.
+  /// Registers no ExpandIntersectSpec, so its plans never contain
+  /// ExpandIntersect (the converter emits it only from a registered spec).
   static BackendSpec Neo4jLike();
   /// GraphScope-like distributed backend: ExpandIntersect + HashJoin,
   /// communication-aware.

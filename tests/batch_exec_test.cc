@@ -1,9 +1,10 @@
 // Differential suite for the morsel-driven batch runtime: every bundled
-// workload query runs through both the sequential row-at-a-time executor
-// and the batch runtime (exec_threads 1 and 4) and must produce the same
-// rows; plus unit coverage for Batch row round-trips, selection-vector
-// edge cases, pipeline decomposition, the work-stealing morsel queue, and
-// ExecStats::rows_produced parity across all runtimes.
+// workload query runs through the batch runtime at exec_threads 1 and 4
+// and must produce the same rows, and the one-thread runtime is checked
+// against the distributed executor's row kernels at one worker; plus unit
+// coverage for Batch row round-trips, selection-vector edge cases,
+// pipeline decomposition, the work-stealing morsel queue, and
+// ExecStats::rows_produced parity across both runtimes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -221,7 +222,7 @@ TEST_F(BatchExecTest, JoinBuildSideIsADependencyPipeline) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: every bundled workload through both runtimes
+// Differential: every bundled workload at one and four threads
 // ---------------------------------------------------------------------------
 
 void ExpectRuntimesAgree(GOptEngine& seq, GOptEngine& par,
@@ -230,7 +231,7 @@ void ExpectRuntimesAgree(GOptEngine& seq, GOptEngine& par,
   ASSERT_NO_THROW(a = seq.Run(query)) << name << ": " << query;
   ASSERT_NO_THROW(b = par.Run(query)) << name << ": " << query;
   // The morsel runtime reassembles morsel outputs in source order, so
-  // results match the sequential executor exactly — including sort
+  // results match the one-thread run exactly — including sort
   // tie-breaks, which makes SameRows safe even under ORDER/LIMIT.
   EXPECT_TRUE(a.SameRows(b)) << name << ": seq=" << a.NumRows()
                              << " morsel=" << b.NumRows();
@@ -250,9 +251,10 @@ TEST_F(BatchExecTest, DifferentialAllWorkloadsFourThreads) {
 }
 
 TEST_F(BatchExecTest, DifferentialMorselSingleThread) {
-  // exec_threads == 1 routes to SingleMachineExecutor; the batch runtime
-  // at one thread must still match it (this is the claim that lets the
-  // engine keep the sequential path until the batch runtime is proven).
+  // The batch runtime at one thread (the engine's default single-machine
+  // path) must match an independent reference: the distributed executor
+  // at one worker, which runs the row-vector kernels operator by
+  // operator over whole materialized inputs.
   auto seq = MakeEngine(1);
   for (const auto* set : {&QcQueries(), &QrQueries()}) {
     for (const auto& wq : *set) {
@@ -260,7 +262,7 @@ TEST_F(BatchExecTest, DifferentialMorselSingleThread) {
       ASSERT_FALSE(prep.invalid) << wq.name;
       ParamMap bound = prep.params;
 
-      SingleMachineExecutor row_ex(ldbc_->graph.get());
+      DistributedExecutor row_ex(ldbc_->graph.get(), 1);
       row_ex.set_params(&bound);
       ResultTable want = row_ex.Execute(prep.physical);
 
@@ -295,8 +297,8 @@ TEST_F(BatchExecTest, DifferentialStPathQuery) {
 
 TEST_F(BatchExecTest, MorselRuntimeRunsExpandIntersectPlans) {
   // Plans lowered for the GraphScope-like backend may contain WCOJ
-  // ExpandIntersect steps. The sequential Neo4j-like executor rejects
-  // them; the morsel runtime implements the full repertoire — compare it
+  // ExpandIntersect steps, which Neo4j-like plans never do. The morsel
+  // runtime implements the full repertoire regardless — compare it
   // against the distributed executor on those very plans.
   GOptEngine gs(ldbc_->graph.get(), BackendSpec::GraphScopeLike(4));
   gs.SetGlogue(*glogue_);
@@ -363,10 +365,12 @@ TEST_F(BatchExecTest, OutcomeCarriesPipelineStats) {
   EXPECT_NE(explain.find("=== Execution ==="), std::string::npos);
   EXPECT_NE(explain.find("morsels"), std::string::npos);
 
-  // The sequential engine reports no pipelines (row runtime).
+  // At one thread the same runtime runs inline and reports its pipelines,
+  // each on a single worker.
   auto seq = MakeEngine(1);
   ExecOutcome seq_out = seq->Run("MATCH (p:Person) RETURN p");
-  EXPECT_TRUE(seq_out.stats.pipelines.empty());
+  ASSERT_FALSE(seq_out.stats.pipelines.empty());
+  for (const auto& p : seq_out.stats.pipelines) EXPECT_EQ(p.threads, 1);
 }
 
 TEST_F(BatchExecTest, AutoThreadCountIsHardwareSized) {

@@ -194,6 +194,46 @@ TEST(ServeTest, RowBudgetTypesAsCancelled) {
   EXPECT_EQ(out.NumRows(), 0u);
 }
 
+TEST(ServeTest, RowBudgetChargesExactlyRowsProduced) {
+  // The row budget charges the same count as ExecStats::rows_produced,
+  // breaker and union outputs included: a budget one short of a query's
+  // rows_produced must cancel it, and a budget equal to it must not — on
+  // every runtime and worker count.
+  auto ldbc = GenerateLdbc(0.05, 1);
+  const char* queries[] = {
+      "MATCH (p:Person) RETURN COUNT(p) AS c",
+      "MATCH (p:Person) RETURN p.id AS id ORDER BY id ASC LIMIT 5",
+      "MATCH (p:Person)-[:KNOWS]->(q:Person) RETURN DISTINCT p",
+      "MATCH (a:Person) RETURN a UNION MATCH (b:Person) RETURN b AS a",
+  };
+  auto run = [](const GOptEngine& engine, const Prepared& prep,
+                uint64_t budget) {
+    auto state = std::make_shared<CancelState>();
+    state->set_row_budget(budget);
+    return engine.Execute(prep, {}, CancelToken(state));
+  };
+  for (int variant = 0; variant < 3; ++variant) {
+    EngineOptions opts;
+    opts.exec_threads = variant == 1 ? 4 : 1;
+    GOptEngine engine(ldbc.graph.get(),
+                      variant == 2 ? BackendSpec::GraphScopeLike(4)
+                                   : BackendSpec::Neo4jLike(),
+                      opts);
+    for (const char* q : queries) {
+      SCOPED_TRACE(std::string(q) + " variant " + std::to_string(variant));
+      Prepared prep = engine.Prepare(q);
+      const uint64_t rows = engine.Execute(prep).stats.rows_produced;
+      ASSERT_GT(rows, 1u);
+      ExecOutcome over = run(engine, prep, rows - 1);
+      EXPECT_EQ(over.status, ExecStatus::kCancelled);
+      EXPECT_EQ(over.NumRows(), 0u);
+      ExecOutcome exact = run(engine, prep, rows);
+      EXPECT_EQ(exact.status, ExecStatus::kOk);
+      EXPECT_EQ(exact.stats.rows_produced, rows);
+    }
+  }
+}
+
 TEST(ServeTest, ExplicitCancelThroughSubmissionHandle) {
   auto ldbc = GenerateLdbc(0.05, 1);
   GOptEngine engine(ldbc.graph.get(), BackendSpec::Neo4jLike());
