@@ -708,6 +708,9 @@ Batch Kernels::PathExpandBatch(const PhysOp& op, const Batch& in,
       }
       scratch[static_cast<size_t>(vpos)] = Value(VertexRef{end});
       scratch[static_cast<size_t>(ppos)] = Value(PathRef{path_v, path_e});
+      for (const auto& p : op.edge_preds) {
+        if (!eval_.EvalBool(p, scratch, smap)) return;
+      }
       for (const auto& p : op.vertex_preds) {
         if (!eval_.EvalBool(p, scratch, smap)) return;
       }

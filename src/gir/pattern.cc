@@ -125,19 +125,24 @@ bool Pattern::IsConnectedWithout(int v) const {
 
 Pattern Pattern::SubpatternByEdges(const std::vector<int>& edge_ids) const {
   Pattern p;
-  std::set<int> want(edge_ids.begin(), edge_ids.end());
-  std::set<int> vids;
+  std::vector<int> want(edge_ids);
+  std::sort(want.begin(), want.end());
+  std::vector<int> vids;
+  p.edges_.reserve(want.size());
   for (const auto& e : edges_) {
-    if (want.count(e.id)) {
-      vids.insert(e.src);
-      vids.insert(e.dst);
+    if (std::binary_search(want.begin(), want.end(), e.id)) {
+      vids.push_back(e.src);
+      vids.push_back(e.dst);
+      p.edges_.push_back(e);
     }
   }
+  std::sort(vids.begin(), vids.end());
+  vids.erase(std::unique(vids.begin(), vids.end()), vids.end());
+  p.vertices_.reserve(vids.size());
   for (const auto& v : vertices_) {
-    if (vids.count(v.id)) p.vertices_.push_back(v);
-  }
-  for (const auto& e : edges_) {
-    if (want.count(e.id)) p.edges_.push_back(e);
+    if (std::binary_search(vids.begin(), vids.end(), v.id)) {
+      p.vertices_.push_back(v);
+    }
   }
   p.next_vertex_id_ = next_vertex_id_;
   p.next_edge_id_ = next_edge_id_;
@@ -146,6 +151,8 @@ Pattern Pattern::SubpatternByEdges(const std::vector<int>& edge_ids) const {
 
 Pattern Pattern::WithoutVertex(int v) const {
   Pattern p;
+  p.vertices_.reserve(vertices_.size());
+  p.edges_.reserve(edges_.size());
   for (const auto& pv : vertices_) {
     if (pv.id != v) p.vertices_.push_back(pv);
   }

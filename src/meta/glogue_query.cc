@@ -103,11 +103,20 @@ double GlogueQuery::RawFreq(const Pattern& p) const {
 double GlogueQuery::EstimateRec(const Pattern& p, int depth) const {
   if (p.NumVertices() == 0) return 1.0;
   if (depth > kMaxDepth) return 1.0;
+  std::string form = ExactPatternForm(p);
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    auto it = exact_.find(form);
+    if (it != exact_.end()) return it->second;
+  }
   std::string code = CanonicalPatternCode(p, /*with_preds=*/false);
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = cache_.find(code);
-    if (it != cache_.end()) return it->second;
+    if (it != cache_.end()) {
+      exact_.emplace(std::move(form), it->second);
+      return it->second;
+    }
   }
 
   double result;
@@ -123,11 +132,12 @@ double GlogueQuery::EstimateRec(const Pattern& p, int depth) const {
     result = EstimateConnected(p, depth);
   }
   result = std::max(result, kFreqFloor);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    cache_[code] = result;
-  }
-  return result;
+  // First writer wins: a racing estimate of the same code keeps the stored
+  // value, so both memo levels always agree.
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  double stored = cache_.emplace(std::move(code), result).first->second;
+  exact_.emplace(std::move(form), stored);
+  return stored;
 }
 
 double GlogueQuery::EstimateConnected(const Pattern& p, int depth) const {

@@ -24,13 +24,24 @@ namespace gopt {
 /// estimated from vertex/edge frequencies alone — the low-order baseline of
 /// the Fig. 8(d) ablation.
 ///
-/// Thread-safety: estimation is const and memoizes by canonical pattern
-/// code into an internal cache guarded by a mutex, so one GlogueQuery may
-/// be queried from many planning threads concurrently (the engine shares
-/// its two GlogueQuery instances across all Prepare calls, and the CBO
-/// pass fans per-pattern planning out over a pool). Concurrent estimates
-/// of the same uncached pattern may compute it twice; both writes store
-/// the same value.
+/// Memoization is two-level. The canonical memo maps CanonicalPatternCode
+/// (WL refinement plus permutation search) to the estimate and is the only
+/// store of values. In front of it, an exact-form index maps each
+/// pattern's ExactPatternForm (an O(V+E) serialization in its own vertex-id
+/// order) to the value its canonical code holds, so a repeated pattern —
+/// the CBO and the PhysicalSpec cost models ask for the same subpatterns
+/// thousands of times per query — skips canonicalization entirely. Equal
+/// forms imply equal codes, so the index never returns a value the
+/// canonical memo would not.
+///
+/// Thread-safety: estimation is const; both memo levels sit behind one
+/// mutex, held only around lookups and inserts (never across the
+/// recursive estimation), so one GlogueQuery may be queried from many
+/// planning threads concurrently (the engine shares its two GlogueQuery
+/// instances across all Prepare calls, and the CBO pass fans per-pattern
+/// planning out over a pool). Concurrent estimates of the same uncached
+/// pattern may compute it twice; the first insert wins and the exact-form
+/// index records that stored value.
 class GlogueQuery {
  public:
   /// `endpoint_filtered = false` degrades edge-frequency lookups to total
@@ -93,8 +104,11 @@ class GlogueQuery {
   bool endpoint_filtered_ = true;
   /// Estimation memo, guarded by cache_mu_ (never held across the
   /// recursive estimation itself — only around lookups and inserts).
+  /// cache_ is keyed by canonical code; exact_ by ExactPatternForm and
+  /// holds copies of cache_ values.
   mutable std::mutex cache_mu_;
   mutable std::unordered_map<std::string, double> cache_;
+  mutable std::unordered_map<std::string, double> exact_;
 };
 
 }  // namespace gopt

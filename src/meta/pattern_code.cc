@@ -98,7 +98,73 @@ std::string Serialize(const Pattern& p, const std::map<int, int>& pos,
   return out;
 }
 
+/// LEB128 varint: short for the small integers patterns are made of, and
+/// self-delimiting, so concatenations stay unambiguous.
+void AppendVarint(std::string* out, uint64_t x) {
+  while (x >= 0x80) {
+    out->push_back(static_cast<char>((x & 0x7f) | 0x80));
+    x >>= 7;
+  }
+  out->push_back(static_cast<char>(x));
+}
+
+/// Type constraint for ExactPatternForm: 0 for AllType, else the type
+/// count plus one followed by the types.
+void AppendFormTc(std::string* out, const TypeConstraint& tc) {
+  if (tc.IsAll()) {
+    out->push_back(0);
+    return;
+  }
+  AppendVarint(out, tc.types().size() + 1);
+  for (TypeId t : tc.types()) AppendVarint(out, t);
+}
+
 }  // namespace
+
+std::string ExactPatternForm(const Pattern& p) {
+  const auto& vs = p.vertices();
+  auto by_id = [](const PatternVertex& a, const PatternVertex& b) {
+    return a.id < b.id;
+  };
+  // Vertex ranks by id. Subpatterns keep their parent's vertex order, which
+  // is id order for parsed patterns, so the copy-and-sort is rare.
+  std::vector<int> sorted_ids;
+  const bool in_id_order = std::is_sorted(vs.begin(), vs.end(), by_id);
+  if (!in_id_order) {
+    for (const auto& v : vs) sorted_ids.push_back(v.id);
+    std::sort(sorted_ids.begin(), sorted_ids.end());
+  }
+  auto id_less = [](const PatternVertex& v, int x) { return v.id < x; };
+  auto rank = [&](int id) -> uint64_t {
+    if (in_id_order) {
+      return static_cast<uint64_t>(
+          std::lower_bound(vs.begin(), vs.end(), id, id_less) - vs.begin());
+    }
+    return static_cast<uint64_t>(
+        std::lower_bound(sorted_ids.begin(), sorted_ids.end(), id) -
+        sorted_ids.begin());
+  };
+
+  std::string out;
+  out.reserve(4 + 4 * vs.size() + 10 * p.NumEdges());
+  AppendVarint(&out, vs.size());
+  if (in_id_order) {
+    for (const auto& v : vs) AppendFormTc(&out, v.tc);
+  } else {
+    for (int id : sorted_ids) AppendFormTc(&out, p.VertexById(id).tc);
+  }
+  AppendVarint(&out, p.NumEdges());
+  for (const auto& e : p.edges()) {
+    AppendVarint(&out, rank(e.src));
+    AppendVarint(&out, rank(e.dst));
+    out.push_back(static_cast<char>(e.dir));
+    AppendVarint(&out, static_cast<uint32_t>(e.min_hops));
+    AppendVarint(&out, static_cast<uint32_t>(e.max_hops));
+    out.push_back(static_cast<char>(e.semantics));
+    AppendFormTc(&out, e.tc);
+  }
+  return out;
+}
 
 std::string CanonicalPatternCode(const Pattern& p, bool with_preds) {
   const size_t n = p.NumVertices();

@@ -19,4 +19,13 @@ namespace gopt {
 /// only cause cache misses, never wrong answers).
 std::string CanonicalPatternCode(const Pattern& p, bool with_preds = false);
 
+/// The pattern serialized as written, in O(V+E) with no canonicalization:
+/// vertices in ascending id order with their type constraints, then the
+/// edges in pattern order as (src rank, dst rank, direction, hops,
+/// semantics, type constraint). Predicates are ignored. Two patterns with
+/// equal forms are isomorphic under the id-order-preserving vertex map, so
+/// they share CanonicalPatternCode(p, false) — the form can key a cache in
+/// front of the canonical one (GlogueQuery's estimation memo).
+std::string ExactPatternForm(const Pattern& p);
+
 }  // namespace gopt

@@ -2,28 +2,13 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
 namespace gopt {
 
 namespace {
-
-/// Memo key of a subpattern: its sorted edge-id list, or the vertex id for
-/// single-vertex patterns. Subpatterns of one query pattern are identified
-/// exactly by these sets, so no isomorphism reasoning is needed in the memo.
-std::string KeyOf(const Pattern& p) {
-  if (p.NumEdges() == 0) {
-    return "v" + std::to_string(p.vertices().empty() ? -1 : p.vertices()[0].id);
-  }
-  std::vector<int> ids;
-  for (const auto& e : p.edges()) ids.push_back(e.id);
-  std::sort(ids.begin(), ids.end());
-  std::string k = "e";
-  for (int id : ids) k += std::to_string(id) + ",";
-  return k;
-}
 
 bool IntersectApplicable(const ExpandSpec& spec, int new_vertex,
                          const std::vector<int>& added, const Pattern& pt) {
@@ -37,6 +22,16 @@ bool IntersectApplicable(const ExpandSpec& spec, int new_vertex,
     }
   }
   return true;
+}
+
+PatternPlanPtr ScanNode(Pattern single, int vid, double freq) {
+  auto node = std::make_shared<PatternPlanNode>();
+  node->kind = PatternPlanNode::Kind::kScan;
+  node->pattern = std::move(single);
+  node->scan_vertex = vid;
+  node->freq = freq;
+  node->cost = freq;
+  return node;
 }
 
 }  // namespace
@@ -79,13 +74,9 @@ std::string PatternPlanNode::ToString(const GraphSchema& schema,
 }
 
 PatternPlanPtr GraphOptimizer::MakeScan(const Pattern& p, int vid) const {
-  auto node = std::make_shared<PatternPlanNode>();
-  node->kind = PatternPlanNode::Kind::kScan;
-  node->pattern = p.SingleVertex(vid);
-  node->scan_vertex = vid;
-  node->freq = gq_->GetFreq(node->pattern);
-  node->cost = node->freq;
-  return node;
+  Pattern single = p.SingleVertex(vid);
+  double freq = gq_->GetFreq(single);
+  return ScanNode(std::move(single), vid, freq);
 }
 
 double GraphOptimizer::ExpandCutFraction(const Pattern& pt,
@@ -106,10 +97,9 @@ double GraphOptimizer::ExpandCutFraction(const Pattern& pt,
 }
 
 double GraphOptimizer::ExpandStepCost(const Pattern& ps, const Pattern& pt,
-                                      int new_vertex,
+                                      double out_freq, int new_vertex,
                                       const std::vector<int>& added,
                                       const ExpandSpec& spec) const {
-  double out_freq = gq_->GetFreq(pt);
   double comp = spec.ComputeCost(*gq_, ps, pt, new_vertex, added);
   // An expansion's exchange moves only the rows whose newly bound vertex
   // lives off-worker — on a sharded store that is the edge-cut fraction of
@@ -119,10 +109,111 @@ double GraphOptimizer::ExpandStepCost(const Pattern& ps, const Pattern& pt,
   return out_freq + comp + comm;
 }
 
+/// One memoized subpattern of the search: its edge and vertex masks over
+/// the root pattern, the subpattern itself with its estimated frequency
+/// (both computed once, on first reference), and the best plan found.
+struct GraphOptimizer::MemoEntry {
+  uint64_t edges = 0;
+  uint64_t vertices = 0;
+  Pattern pattern;
+  double freq = 0;
+  PatternPlanPtr plan;
+  double cost = std::numeric_limits<double>::infinity();
+  bool done = false;
+};
+
+/// Per-Optimize search state. Bit i of an edge mask is the root's i-th
+/// edge and bit j of a vertex mask its j-th vertex; subpatterns keep the
+/// root's vertex and edge order, so a mask names a subpattern exactly.
 struct GraphOptimizer::SearchCtx {
-  std::map<std::string, MemoEntry> memo;
+  SearchCtx(const Pattern& root, const GlogueQuery* gq)
+      : root(root), gq(gq), scans(root.NumVertices()) {
+    std::vector<int> vid;
+    for (const auto& v : root.vertices()) vid.push_back(v.id);
+    auto index_of = [&](int id) {
+      return std::find(vid.begin(), vid.end(), id) - vid.begin();
+    };
+    incident.assign(vid.size(), 0);
+    for (size_t i = 0; i < root.NumEdges(); ++i) {
+      const PatternEdge& e = root.edges()[i];
+      uint64_t ends = Bit(index_of(e.src)) | Bit(index_of(e.dst));
+      endpoints.push_back(ends);
+      for (uint64_t r = ends; r; r &= r - 1) incident[Low(r)] |= Bit(i);
+    }
+  }
+
+  static uint64_t Bit(size_t i) { return uint64_t{1} << i; }
+  /// Bits 0..n-1 set (n <= 64).
+  static uint64_t LowBits(size_t n) {
+    return n == 64 ? ~uint64_t{0} : Bit(n) - 1;
+  }
+  static int Low(uint64_t m) { return __builtin_ctzll(m); }
+
+  uint64_t Endpoints(uint64_t emask) const {
+    uint64_t v = 0;
+    for (uint64_t r = emask; r; r &= r - 1) v |= endpoints[Low(r)];
+    return v;
+  }
+
+  /// Whether the edges `emask` connect all of the (non-empty) vertex set
+  /// `vmask`.
+  bool Connected(uint64_t emask, uint64_t vmask) const {
+    uint64_t reached = vmask & (~vmask + 1);
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (uint64_t r = emask; r; r &= r - 1) {
+        uint64_t ends = endpoints[Low(r)];
+        if (ends & reached) {
+          reached |= ends;
+          emask &= ~(r & (~r + 1));
+          grew = true;
+        }
+      }
+    }
+    return reached == vmask;
+  }
+
+  /// Root edge ids of a mask, in root order.
+  std::vector<int> EdgeIds(uint64_t emask) const {
+    std::vector<int> ids;
+    for (uint64_t r = emask; r; r &= r - 1) {
+      ids.push_back(root.edges()[Low(r)].id);
+    }
+    return ids;
+  }
+
+  /// The memo entry of the connected subpattern with edges `emask`.
+  MemoEntry& ByEdges(uint64_t emask) {
+    auto [it, fresh] = memo.try_emplace(emask);
+    MemoEntry& e = it->second;
+    if (fresh) {
+      e.edges = emask;
+      e.vertices = Endpoints(emask);
+      e.pattern = root.SubpatternByEdges(EdgeIds(emask));
+      e.freq = gq->GetFreq(e.pattern);
+    }
+    return e;
+  }
+
+  /// The memo entry of the single-vertex subpattern of root vertex `j`.
+  MemoEntry& ByVertex(int j) {
+    MemoEntry& e = scans[static_cast<size_t>(j)];
+    if (e.vertices == 0) {
+      e.vertices = Bit(static_cast<size_t>(j));
+      e.pattern = root.SingleVertex(root.vertices()[static_cast<size_t>(j)].id);
+      e.freq = gq->GetFreq(e.pattern);
+    }
+    return e;
+  }
+
+  const Pattern& root;
+  const GlogueQuery* gq;
+  std::vector<uint64_t> endpoints;  ///< per edge: its endpoint vertex bits
+  std::vector<uint64_t> incident;   ///< per vertex: its incident edge bits
+  std::unordered_map<uint64_t, MemoEntry> memo;  ///< keyed by edge mask
+  std::vector<MemoEntry> scans;  ///< single-vertex subpatterns, by index
   double cost_star = std::numeric_limits<double>::infinity();
-  std::string full_key;
+  MemoEntry* full = nullptr;
 };
 
 PatternPlanPtr GraphOptimizer::Optimize(const Pattern& p) const {
@@ -130,30 +221,39 @@ PatternPlanPtr GraphOptimizer::Optimize(const Pattern& p) const {
   pruned_branches = 0;
   if (p.NumVertices() == 0) return nullptr;
   if (p.NumVertices() == 1) return MakeScan(p, p.vertices()[0].id);
+  if (p.NumEdges() > kMaxMaskBits || p.NumVertices() > kMaxMaskBits) {
+    return GreedyPlan(p);
+  }
 
   PatternPlanPtr greedy = GreedyPlan(p);
-  SearchCtx ctx;
-  ctx.cost_star = greedy ? greedy->cost : ctx.cost_star;
-  ctx.full_key = KeyOf(p);
+  SearchCtx ctx(p, gq_);
+  const uint64_t all = SearchCtx::LowBits(p.NumEdges());
+  MemoEntry& full = ctx.memo[all];
+  full.edges = all;
+  full.vertices = SearchCtx::LowBits(p.NumVertices());
+  full.pattern = p;
+  full.freq = gq_->GetFreq(p);
+  ctx.full = &full;
   if (greedy) {
-    ctx.memo[ctx.full_key] = {greedy, greedy->cost, false};
+    full.plan = greedy;
+    full.cost = greedy->cost;
+    ctx.cost_star = greedy->cost;
   }
-  RecursiveSearch(p, &ctx);
-  auto it = ctx.memo.find(ctx.full_key);
-  if (it != ctx.memo.end() && it->second.plan) return it->second.plan;
+  RecursiveSearch(full, &ctx);
+  if (full.plan) return full.plan;
   return greedy;
 }
 
-void GraphOptimizer::RecursiveSearch(const Pattern& p, SearchCtx* ctx) const {
-  std::string key = KeyOf(p);
-  auto& entry = ctx->memo[key];
+void GraphOptimizer::RecursiveSearch(MemoEntry& entry, SearchCtx* ctx) const {
   if (entry.done) return;
   entry.done = true;  // subpatterns are strictly smaller; no cycles
   ++searched_subpatterns;
-  if (!entry.plan) entry.cost = std::numeric_limits<double>::infinity();
+  const Pattern& p = entry.pattern;
 
-  if (p.NumVertices() == 1) {
-    auto scan = MakeScan(p, p.vertices()[0].id);
+  if (__builtin_popcountll(entry.vertices) == 1) {
+    MemoEntry& single = ctx->ByVertex(SearchCtx::Low(entry.vertices));
+    int vid = single.pattern.vertices()[0].id;
+    auto scan = ScanNode(single.pattern, vid, single.freq);
     if (!entry.plan || scan->cost < entry.cost) {
       entry.plan = scan;
       entry.cost = scan->cost;
@@ -161,31 +261,38 @@ void GraphOptimizer::RecursiveSearch(const Pattern& p, SearchCtx* ctx) const {
     return;
   }
 
-  const double out_freq = gq_->GetFreq(p);
+  const double out_freq = entry.freq;
   auto update = [&](PatternPlanPtr node) {
     if (node->cost < entry.cost) {
       entry.plan = node;
       entry.cost = node->cost;
-      if (key == ctx->full_key && node->cost < ctx->cost_star) {
+      if (&entry == ctx->full && node->cost < ctx->cost_star) {
         ctx->cost_star = node->cost;
       }
     }
   };
 
   // ---- Expand candidates: peel each removable vertex ----
-  for (const auto& v : p.vertices()) {
-    if (!p.IsConnectedWithout(v.id)) continue;
-    Pattern ps = p.WithoutVertex(v.id);
-    std::vector<int> added = p.IncidentEdges(v.id);
+  for (uint64_t vr = entry.vertices; vr; vr &= vr - 1) {
+    const int j = SearchCtx::Low(vr);
+    const uint64_t added_mask =
+        entry.edges & ctx->incident[static_cast<size_t>(j)];
+    const uint64_t rest_edges = entry.edges & ~added_mask;
+    const uint64_t rest_vertices = entry.vertices & ~SearchCtx::Bit(j);
+    if (!ctx->Connected(rest_edges, rest_vertices)) continue;
+    MemoEntry& sub = rest_edges ? ctx->ByEdges(rest_edges)
+                                : ctx->ByVertex(SearchCtx::Low(rest_vertices));
+    const int vid = ctx->root.vertices()[static_cast<size_t>(j)].id;
+    const std::vector<int> added = ctx->EdgeIds(added_mask);
     for (const auto& spec : backend_->expands) {
-      if (!IntersectApplicable(*spec, v.id, added, p)) continue;
-      double noncum = ExpandStepCost(ps, p, v.id, added, *spec);
+      if (!IntersectApplicable(*spec, vid, added, p)) continue;
+      double noncum =
+          ExpandStepCost(sub.pattern, p, out_freq, vid, added, *spec);
       if (noncum >= ctx->cost_star) {
         ++pruned_branches;
         continue;
       }
-      RecursiveSearch(ps, ctx);
-      const auto& sub = ctx->memo[KeyOf(ps)];
+      RecursiveSearch(sub, ctx);
       if (!sub.plan) continue;
       double total = sub.cost + noncum;
       if (total >= entry.cost) continue;
@@ -194,7 +301,7 @@ void GraphOptimizer::RecursiveSearch(const Pattern& p, SearchCtx* ctx) const {
       node->pattern = p;
       node->freq = out_freq;
       node->child = sub.plan;
-      node->new_vertex = v.id;
+      node->new_vertex = vid;
       node->added_edges = added;
       node->expand_spec = spec;
       node->cost = total;
@@ -203,37 +310,42 @@ void GraphOptimizer::RecursiveSearch(const Pattern& p, SearchCtx* ctx) const {
   }
 
   // ---- Join candidates: connected binary edge splits ----
-  const int m = static_cast<int>(p.NumEdges());
+  const int m = __builtin_popcountll(entry.edges);
   if (m >= 2 && m <= 12 && !backend_->joins.empty()) {
-    std::vector<int> eids;
-    for (const auto& e : p.edges()) eids.push_back(e.id);
+    std::vector<uint64_t> bits;  // entry's i-th edge -> its root edge bit
+    for (uint64_t r = entry.edges; r; r &= r - 1) bits.push_back(r & (~r + 1));
     for (uint32_t mask = 1; mask + 1 < (1u << m); ++mask) {
       if (__builtin_popcount(mask) > m / 2 ||
           (__builtin_popcount(mask) == m - __builtin_popcount(mask) &&
            (mask & 1) == 0)) {
         continue;  // dedupe unordered splits
       }
-      std::vector<int> s1, s2;
-      for (int i = 0; i < m; ++i) ((mask >> i) & 1 ? s1 : s2).push_back(eids[i]);
-      Pattern p1 = p.SubpatternByEdges(s1);
-      Pattern p2 = p.SubpatternByEdges(s2);
-      if (!p1.IsConnected() || !p2.IsConnected()) continue;
-      auto common = p1.CommonVertices(p2);
-      if (common.empty()) continue;
-      double f1 = gq_->GetFreq(p1), f2 = gq_->GetFreq(p2);
+      uint64_t s1 = 0;
+      for (uint32_t r = mask; r; r &= r - 1) s1 |= bits[SearchCtx::Low(r)];
+      const uint64_t s2 = entry.edges & ~s1;
+      const uint64_t v1 = ctx->Endpoints(s1), v2 = ctx->Endpoints(s2);
+      const uint64_t common_mask = v1 & v2;
+      if (!common_mask || !ctx->Connected(s1, v1) || !ctx->Connected(s2, v2)) {
+        continue;
+      }
+      MemoEntry& e1 = ctx->ByEdges(s1);
+      MemoEntry& e2 = ctx->ByEdges(s2);
+      std::vector<int> common;
+      for (uint64_t r = common_mask; r; r &= r - 1) {
+        common.push_back(ctx->root.vertices()[SearchCtx::Low(r)].id);
+      }
       for (const auto& jspec : backend_->joins) {
         // A join's exchange re-hashes both inputs by key; on a sharded
         // store only the (P-1)/P fraction actually moves.
-        double noncum = out_freq + jspec->ComputeCost(*gq_, p1, p2) +
-                        backend_->comm_factor * (f1 + f2) * RehashFraction();
+        double noncum =
+            out_freq + jspec->ComputeCost(*gq_, e1.pattern, e2.pattern) +
+            backend_->comm_factor * (e1.freq + e2.freq) * RehashFraction();
         if (noncum >= ctx->cost_star) {
           ++pruned_branches;
           continue;
         }
-        RecursiveSearch(p1, ctx);
-        RecursiveSearch(p2, ctx);
-        const auto& e1 = ctx->memo[KeyOf(p1)];
-        const auto& e2 = ctx->memo[KeyOf(p2)];
+        RecursiveSearch(e1, ctx);
+        RecursiveSearch(e2, ctx);
         if (!e1.plan || !e2.plan) continue;
         double total = e1.cost + e2.cost + noncum;
         if (total >= entry.cost) continue;
@@ -268,13 +380,15 @@ PatternPlanPtr GraphOptimizer::GreedyPlan(const Pattern& p) const {
   while (q.NumVertices() > 1) {
     double best_cost = std::numeric_limits<double>::infinity();
     Step best;
+    const double q_freq = gq_->GetFreq(q);
     for (const auto& v : q.vertices()) {
       if (!q.IsConnectedWithout(v.id)) continue;
       Pattern ps = q.WithoutVertex(v.id);
+      const double ps_freq = gq_->GetFreq(ps);
       std::vector<int> added = q.IncidentEdges(v.id);
       for (const auto& spec : backend_->expands) {
         if (!IntersectApplicable(*spec, v.id, added, q)) continue;
-        double c = ExpandStepCost(ps, q, v.id, added, *spec) + gq_->GetFreq(ps);
+        double c = ExpandStepCost(ps, q, q_freq, v.id, added, *spec) + ps_freq;
         if (c < best_cost) {
           best_cost = c;
           best = {q, v.id, added, spec};
@@ -295,9 +409,8 @@ PatternPlanPtr GraphOptimizer::GreedyPlan(const Pattern& p) const {
     node->new_vertex = it->v;
     node->added_edges = it->added;
     node->expand_spec = it->spec;
-    node->cost = plan->cost +
-                 ExpandStepCost(plan->pattern, it->pt, it->v, it->added,
-                                *it->spec);
+    node->cost = plan->cost + ExpandStepCost(plan->pattern, it->pt, node->freq,
+                                             it->v, it->added, *it->spec);
     plan = node;
   }
   return plan;
@@ -360,8 +473,8 @@ PatternPlanPtr GraphOptimizer::UserOrderPlan(const Pattern& p) const {
     node->new_vertex = nv;
     node->added_edges = {e.id};
     node->expand_spec = spec;
-    node->cost = plan->cost + ExpandStepCost(plan->pattern, node->pattern, nv,
-                                             {e.id}, *spec);
+    node->cost = plan->cost + ExpandStepCost(plan->pattern, node->pattern,
+                                             node->freq, nv, {e.id}, *spec);
     bound.insert(e.src);
     bound.insert(e.dst);
     plan = node;
@@ -407,8 +520,8 @@ PatternPlanPtr GraphOptimizer::RandomPlan(const Pattern& p, Rng* rng) const {
     node->new_vertex = nv;
     node->added_edges = {e.id};
     node->expand_spec = spec;
-    node->cost = plan->cost + ExpandStepCost(plan->pattern, node->pattern, nv,
-                                             {e.id}, *spec);
+    node->cost = plan->cost + ExpandStepCost(plan->pattern, node->pattern,
+                                             node->freq, nv, {e.id}, *spec);
     bound.insert(e.src);
     bound.insert(e.dst);
     plan = node;
@@ -428,8 +541,8 @@ void GraphOptimizer::Recost(const PatternPlanPtr& node) const {
       node->freq = gq_->GetFreq(node->pattern);
       node->cost = node->child->cost +
                    ExpandStepCost(node->child->pattern, node->pattern,
-                                  node->new_vertex, node->added_edges,
-                                  *node->expand_spec);
+                                  node->freq, node->new_vertex,
+                                  node->added_edges, *node->expand_spec);
       return;
     }
     case PatternPlanNode::Kind::kJoin: {

@@ -46,6 +46,12 @@ struct PatternPlanNode {
 /// ExpandSpec) and binary joins (every registered JoinSpec); costs combine
 /// computation (PhysicalSpec cost models) with communication
 /// (comm_factor x exchanged rows) on distributed backends.
+///
+/// The search memo is keyed by a 64-bit edge mask over the pattern being
+/// optimized (bit i = its i-th edge): a connected subpattern with edges is
+/// identified by its edge set. Removable vertices and join splits are
+/// decided on the masks, so each memoized subpattern is materialized as a
+/// Pattern, and priced with GetFreq, exactly once per search.
 class GraphOptimizer {
  public:
   /// `comm` (optional) is the store's communication profile: when a
@@ -57,7 +63,9 @@ class GraphOptimizer {
                  const CommProfile* comm = nullptr)
       : gq_(gq), backend_(backend), comm_(comm) {}
 
-  /// Optimal plan for a connected pattern (Algorithm 2).
+  /// Optimal plan for a connected pattern (Algorithm 2). A pattern with
+  /// more than 64 edges (or 64 vertices) does not fit the search's
+  /// bitmask memo and gets GreedyPlan(p) instead.
   PatternPlanPtr Optimize(const Pattern& p) const;
 
   /// Greedy initial solution (GreedyInitial in the paper).
@@ -81,17 +89,17 @@ class GraphOptimizer {
   mutable size_t pruned_branches = 0;
 
  private:
-  struct MemoEntry {
-    PatternPlanPtr plan;
-    double cost = 0;
-    bool done = false;
-  };
+  struct MemoEntry;
   struct SearchCtx;
+  /// Widest pattern (edges, and vertices) the bitmask memo can hold.
+  static constexpr size_t kMaxMaskBits = 64;
 
-  void RecursiveSearch(const Pattern& p, SearchCtx* ctx) const;
+  void RecursiveSearch(MemoEntry& entry, SearchCtx* ctx) const;
   PatternPlanPtr MakeScan(const Pattern& p, int vid) const;
-  double ExpandStepCost(const Pattern& ps, const Pattern& pt, int new_vertex,
-                        const std::vector<int>& added,
+  /// Cost of one expand step into `pt`, whose estimated frequency is
+  /// `out_freq` (= GetFreq(pt)).
+  double ExpandStepCost(const Pattern& ps, const Pattern& pt, double out_freq,
+                        int new_vertex, const std::vector<int>& added,
                         const ExpandSpec& spec) const;
   /// Fraction of an expansion's output rows that cross workers: the mean
   /// measured edge-cut of the added edges' types under the attached

@@ -24,14 +24,22 @@ void CollectPredTags(const std::vector<ExprPtr>& preds,
 /// Columns an expansion binds that did not exist on its input.
 std::vector<std::string> ProducedCols(const PhysOp& op) {
   std::vector<std::string> out;
+  // An edge or path alias that only names the edge for its predicates is
+  // not an output column.
+  auto add_output = [&](const std::string& c) {
+    if (!c.empty() && std::find(op.out_cols.begin(), op.out_cols.end(), c) !=
+                          op.out_cols.end()) {
+      out.push_back(c);
+    }
+  };
   switch (op.kind) {
     case PhysOpKind::kExpandEdge:
       if (!op.target_bound) out.push_back(op.alias);
-      if (!op.edge_alias.empty()) out.push_back(op.edge_alias);
+      add_output(op.edge_alias);
       break;
     case PhysOpKind::kPathExpand:
       if (!op.target_bound) out.push_back(op.alias);
-      if (!op.path_alias.empty()) out.push_back(op.path_alias);
+      add_output(op.path_alias);
       break;
     case PhysOpKind::kExpandIntersect:
       out.push_back(op.alias);

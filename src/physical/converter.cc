@@ -126,18 +126,19 @@ PhysOpPtr PhysicalConverter::MakeEdgeStep(const Pattern& pat,
   op->target_bound = closing;
   op->out_cols = input->out_cols;
   if (!closing) op->out_cols.push_back(to->alias);
+  // Edge predicates read the edge (or path) through its alias, so an edge
+  // that carries any is named even when no downstream operator keeps it;
+  // only a bound edge becomes an output column.
+  const bool name_edge = bind_edge || !e.predicates.empty();
   if (e.IsPath()) {
     op->min_hops = e.min_hops;
     op->max_hops = e.max_hops;
     op->semantics = e.semantics;
-    if (bind_edge) {
-      op->path_alias = e.alias;
-      op->out_cols.push_back(e.alias);
-    }
-  } else if (bind_edge) {
+    if (name_edge) op->path_alias = e.alias;
+  } else if (name_edge) {
     op->edge_alias = e.alias;
-    op->out_cols.push_back(e.alias);
   }
+  if (bind_edge) op->out_cols.push_back(e.alias);
   return op;
 }
 
@@ -164,17 +165,20 @@ PhysOpPtr PhysicalConverter::ConvertPlanRec(const Pattern& full,
         // needs (null trimmed_tags_ means "no trim info: bind all named").
         return trimmed_tags_ == nullptr || trimmed_tags_->count(e.alias) > 0;
       };
-      bool any_path = false, any_bind = false;
+      // Intersection arms see neighbor sets, not edges: an edge that must
+      // be bound or filtered takes the sequential expansion instead.
+      bool any_path = false, any_bind = false, any_edge_pred = false;
       for (int eid : node->added_edges) {
         const PatternEdge& e = full.EdgeById(eid);
         any_path |= e.IsPath();
         any_bind |= needs_binding(e);
+        any_edge_pred |= !e.predicates.empty();
       }
       bool use_intersect =
           node->expand_spec &&
           node->expand_spec->Impl() == PhysExpandImpl::kExpandIntersect &&
           node->added_edges.size() > 1 && node->new_vertex >= 0 && !any_path &&
-          !any_bind;
+          !any_bind && !any_edge_pred;
       if (use_intersect) {
         const PatternVertex& nv = full.VertexById(node->new_vertex);
         auto op = std::make_shared<PhysOp>(PhysOpKind::kExpandIntersect);
@@ -194,7 +198,6 @@ PhysOpPtr PhysicalConverter::ConvertPlanRec(const Pattern& full,
             arm.dir = from_src ? Direction::kOut : Direction::kIn;
           }
           arm.etc_ = e.tc;
-          arm.edge_preds = e.predicates;
           op->arms.push_back(std::move(arm));
         }
         op->out_cols = in->out_cols;

@@ -39,6 +39,9 @@ struct IntersectArm {
   std::string from_tag;
   Direction dir = Direction::kOut;  ///< kOut: follow src->dst from the tag
   TypeConstraint etc_;
+  /// Not evaluated: arms intersect neighbor sets and never see individual
+  /// edges, so the converter expands edges with predicates sequentially
+  /// and leaves this empty.
   std::vector<ExprPtr> edge_preds;
 };
 
@@ -74,7 +77,9 @@ struct PhysOp {
   Direction dir = Direction::kOut;
   TypeConstraint etc_;
   std::vector<ExprPtr> edge_preds;
-  std::string edge_alias;   ///< bind the matched edge when non-empty
+  /// Names the matched edge for edge_preds when non-empty; it is also an
+  /// output column when listed in out_cols.
+  std::string edge_alias;
   bool target_bound = false;  ///< close onto an existing binding
 
   // kExpandIntersect
@@ -83,7 +88,9 @@ struct PhysOp {
   // kPathExpand
   int min_hops = 1, max_hops = 1;
   PathSemantics semantics = PathSemantics::kArbitrary;
-  std::string path_alias;  ///< bind the PathRef when non-empty
+  /// Names the PathRef for edge_preds when non-empty; it is also an output
+  /// column when listed in out_cols.
+  std::string path_alias;
 
   // relational payloads (mirroring LogicalOp)
   ExprPtr predicate;

@@ -290,5 +290,62 @@ TEST(PatternCode, PredicateModeDistinguishes) {
   EXPECT_NE(CanonicalPatternCode(p1, true), CanonicalPatternCode(p2, true));
 }
 
+/// A star: a center with `leaves` out-edges to same-typed leaves, built
+/// with vertex ids shifted by `id_base`, the center listed first or last.
+Pattern Star(const GraphSchema& s, int leaves, int id_base, bool center_first) {
+  TypeId person = *s.FindVertexType("Person");
+  TypeId knows = *s.FindEdgeType("Knows");
+  Pattern p;
+  const int center = id_base + 100;
+  if (center_first) p.AddVertex("c", TypeConstraint::Basic(person), center);
+  for (int i = leaves; i-- > 0;) {
+    p.AddVertex("l" + std::to_string(i), TypeConstraint::Basic(person),
+                id_base + i);
+  }
+  if (!center_first) p.AddVertex("c", TypeConstraint::Basic(person), center);
+  for (int i = 0; i < leaves; ++i) {
+    p.AddEdge(center, id_base + i, "", TypeConstraint::Basic(knows));
+  }
+  return p;
+}
+
+TEST(PatternCode, EqualExactFormsShareCanonicalCode) {
+  GraphSchema s = MakePaperSchema();
+  // Eight interchangeable leaves exceed the permutation bound, so the
+  // canonical code falls back to id order; equal forms must still agree.
+  for (int leaves : {3, 8}) {
+    Pattern a = Star(s, leaves, 0, true);
+    Pattern b = Star(s, leaves, 40, false);
+    EXPECT_EQ(ExactPatternForm(a), ExactPatternForm(b)) << leaves;
+    EXPECT_EQ(CanonicalPatternCode(a), CanonicalPatternCode(b)) << leaves;
+  }
+  // Aliases, edge ids and predicates are not part of the form; direction
+  // and types are.
+  Pattern named = Star(s, 3, 0, true);
+  named.mutable_edges()[0].alias = "e";
+  named.mutable_vertices()[0].selectivity = 0.5;
+  EXPECT_EQ(ExactPatternForm(named), ExactPatternForm(Star(s, 3, 0, true)));
+  Pattern flipped = Star(s, 3, 0, true);
+  std::swap(flipped.mutable_edges()[0].src, flipped.mutable_edges()[0].dst);
+  EXPECT_NE(ExactPatternForm(flipped), ExactPatternForm(Star(s, 3, 0, true)));
+  Pattern retyped = Star(s, 3, 0, true);
+  retyped.mutable_vertices()[1].tc =
+      TypeConstraint::Basic(*s.FindVertexType("Product"));
+  EXPECT_NE(ExactPatternForm(retyped), ExactPatternForm(Star(s, 3, 0, true)));
+}
+
+TEST(GlogueQuery, ExactFormHitsReturnTheCanonicalValue) {
+  GraphSchema s = MakePaperSchema();
+  Glogue gl = PaperGlogue(s);
+  GlogueQuery gq(&gl, &s, true);
+  // A relabeled copy misses the exact-form index but hits the canonical
+  // memo; repeats then hit the index. All three answers are one value.
+  const double first = gq.RawFreq(Star(s, 4, 0, true));
+  const size_t codes = gq.CacheSize();
+  EXPECT_EQ(gq.RawFreq(Star(s, 4, 7, false)), first);
+  EXPECT_EQ(gq.RawFreq(Star(s, 4, 0, true)), first);
+  EXPECT_EQ(gq.CacheSize(), codes);
+}
+
 }  // namespace
 }  // namespace gopt

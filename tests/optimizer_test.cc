@@ -2,10 +2,14 @@
 // Sections 6.1 / 6.3).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "src/engine/engine.h"
 #include "src/lang/cypher_parser.h"
 #include "src/ldbc/ldbc.h"
 #include "src/opt/rbo.h"
+#include "src/workloads/queries.h"
 
 namespace gopt {
 namespace {
@@ -248,6 +252,149 @@ TEST_F(CboTest, RecostMatchesSearchCosts) {
   double searched_cost = plan->cost;
   opt.Recost(plan);
   EXPECT_NEAR(plan->cost, searched_cost, searched_cost * 1e-9);
+}
+
+std::string ChainQuery(const std::string& vtype, const std::string& etype,
+                       int edges) {
+  std::string q = "MATCH (v0:" + vtype + ")";
+  for (int i = 1; i <= edges; ++i) {
+    q += "-[:" + etype + "]->(v" + std::to_string(i) + ":" + vtype + ")";
+  }
+  return q + " RETURN COUNT(*) AS n";
+}
+
+TEST_F(CboTest, PatternWiderThanTheMaskGetsTheGreedyPlan) {
+  GlogueQuery gq(glogue_, &ldbc_->graph->schema(), true);
+  BackendSpec backend = BackendSpec::Neo4jLike();
+  GraphOptimizer opt(&gq, &backend);
+  Pattern p = ParsePattern(ChainQuery("Person", "KNOWS", 70));
+  ASSERT_EQ(p.NumEdges(), 70u);
+  auto plan = opt.Optimize(p);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(opt.searched_subpatterns, 0u);
+  EXPECT_EQ(plan->cost, opt.GreedyPlan(p)->cost);
+}
+
+TEST(WidePatternTest, SeventyEdgeChainMatchesNoOpt) {
+  // A directed 5-cycle: every vertex starts exactly one 70-step walk.
+  GraphSchema schema;
+  TypeId v = schema.AddVertexType("V");
+  TypeId e = schema.AddEdgeType("E", {{v, v}});
+  PropertyGraph g(schema);
+  constexpr int kCycle = 5;
+  for (int i = 0; i < kCycle; ++i) g.AddVertex(v);
+  for (int i = 0; i < kCycle; ++i) {
+    g.AddEdge(static_cast<VertexId>(i), static_cast<VertexId>((i + 1) % kCycle),
+              e);
+  }
+  g.Finalize();
+  const std::string q = ChainQuery("V", "E", 70);
+  for (PlannerMode mode : {PlannerMode::kGOpt, PlannerMode::kNoOpt}) {
+    EngineOptions opts;
+    opts.mode = mode;
+    GOptEngine engine(&g, BackendSpec::Neo4jLike(), opts);
+    ExecOutcome r = engine.Run(q);
+    ASSERT_EQ(r.NumRows(), 1u);
+    EXPECT_EQ(r.table().rows[0][0].AsInt(), kCycle)
+        << "mode " << static_cast<int>(mode);
+  }
+}
+
+/// Cold planning over the LDBC workloads: the plan cache is off, so every
+/// Prepare runs the whole pipeline against the engine's shared estimation
+/// memo.
+class PlanningTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    ldbc_ = new LdbcGraph(GenerateLdbc(0.1, 3));
+    glogue_ = new std::shared_ptr<const Glogue>(
+        std::make_shared<Glogue>(Glogue::Build(*ldbc_->graph)));
+  }
+  static void TearDownTestSuite() {
+    delete glogue_;
+    delete ldbc_;
+  }
+  static std::unique_ptr<GOptEngine> ColdEngine(const BackendSpec& backend) {
+    EngineOptions opts;
+    opts.enable_plan_cache = false;
+    auto engine =
+        std::make_unique<GOptEngine>(ldbc_->graph.get(), backend, opts);
+    engine->SetGlogue(*glogue_);
+    return engine;
+  }
+  /// The physical plan text (operator tree, join order, expand kinds).
+  static std::string Plan(const GOptEngine& engine, const std::string& q) {
+    Prepared prep = engine.Prepare(q);
+    if (!prep.physical) return prep.invalid ? "<invalid>" : "<none>";
+    return prep.physical->ToString(ldbc_->graph->schema());
+  }
+  static LdbcGraph* ldbc_;
+  static std::shared_ptr<const Glogue>* glogue_;
+};
+LdbcGraph* PlanningTest::ldbc_ = nullptr;
+std::shared_ptr<const Glogue>* PlanningTest::glogue_ = nullptr;
+
+TEST_F(PlanningTest, PlansDoNotDependOnHistory) {
+  std::vector<WorkloadQuery> queries;
+  for (const auto* set : {&IcQueries(), &BiQueries(), &QrQueries(),
+                          &QtQueries(), &QcQueries()}) {
+    queries.insert(queries.end(), set->begin(), set->end());
+  }
+  for (const BackendSpec& backend :
+       {BackendSpec::Neo4jLike(), BackendSpec::GraphScopeLike(4)}) {
+    // One engine plans the whole list in reverse, so each query is planned
+    // after every later one; it then plans the list again, fully warm.
+    auto warm = ColdEngine(backend);
+    std::vector<std::string> after_later(queries.size());
+    for (size_t i = queries.size(); i-- > 0;) {
+      after_later[i] =
+          Plan(*warm, SubstituteParams(queries[i].cypher, DefaultParams()));
+    }
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const std::string q =
+          SubstituteParams(queries[i].cypher, DefaultParams());
+      const std::string fresh = Plan(*ColdEngine(backend), q);
+      const std::string name = backend.name + " " + queries[i].name;
+      EXPECT_EQ(after_later[i], fresh) << name;
+      EXPECT_EQ(Plan(*warm, q), fresh) << name;
+    }
+  }
+}
+
+TEST_F(PlanningTest, ConcurrentColdPlanningMatchesSequential) {
+  std::vector<std::string> queries;
+  for (const auto* set : {&QcQueries(), &QrQueries()}) {
+    for (const auto& wq : *set) {
+      if (wq.name == "QC4a" || wq.name == "QC4b" || wq.name == "QR4") {
+        queries.push_back(SubstituteParams(wq.cypher, DefaultParams()));
+      }
+    }
+  }
+  ASSERT_EQ(queries.size(), 3u);
+  for (const BackendSpec& backend :
+       {BackendSpec::Neo4jLike(), BackendSpec::GraphScopeLike(4)}) {
+    std::vector<std::string> want;
+    for (const auto& q : queries) want.push_back(Plan(*ColdEngine(backend), q));
+
+    auto shared = ColdEngine(backend);
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 3;
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int r = 0; r < kRounds; ++r) {
+          for (size_t k = 0; k < queries.size(); ++k) {
+            // Staggered starts so threads race on different patterns.
+            size_t i = (k + static_cast<size_t>(t)) % queries.size();
+            if (Plan(*shared, queries[i]) != want[i]) ++mismatches;
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(mismatches.load(), 0) << backend.name;
+  }
 }
 
 }  // namespace
