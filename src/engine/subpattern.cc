@@ -74,7 +74,6 @@ void AppendNode(std::string* out, const PhysOp& op,
     AppendSized(out, arm.from_tag);
     AppendRaw(out, static_cast<int32_t>(arm.dir));
     AppendTypeConstraint(out, arm.etc_);
-    AppendExprs(out, arm.edge_preds, params);
   }
   AppendRaw(out, static_cast<int32_t>(op.min_hops));
   AppendRaw(out, static_cast<int32_t>(op.max_hops));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -10,6 +11,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "src/common/hash.h"
 #include "src/exec/vectorized.h"
 
 namespace gopt {
@@ -1278,7 +1280,15 @@ std::vector<Row> Kernels::AggregateBatchRows(
       }
     }
     const size_t n = b.size();
-    if (runwise) {
+    if (runwise && !b.has_selection()) {
+      // Every physical row is active: each group is one run, folded in
+      // one step straight from the offsets.
+      const auto& goff = b.group_offsets();
+      for (size_t g = 0; g + 1 < goff.size(); ++g) {
+        GatherGroup(b, static_cast<uint32_t>(g), &scratch);
+        update(scratch, goff[g + 1] - goff[g]);
+      }
+    } else if (runwise) {
       size_t i = 0;
       while (i < n) {
         const uint32_t g = b.GroupOf(b.PhysIndex(i));
@@ -1316,88 +1326,244 @@ std::vector<Row> Kernels::AggregateBatchRows(
 // Join build / probe
 // ---------------------------------------------------------------------------
 
-JoinHashTable Kernels::BuildJoinTable(const PhysOp& op,
-                                      const std::vector<Row>& right) const {
+namespace {
+
+/// Seed of the per-key-column hash chain; also the hash of the empty key
+/// (a keyless join: every build row shares it).
+constexpr size_t kJoinHashSeed = 0x4a6f696eull;
+
+/// Slot of hash `h` in a power-of-two slot array of 2^bits entries:
+/// Fibonacci hashing spreads Value::Hash's low-entropy inputs (vertex ids)
+/// over the high bits.
+inline size_t JoinSlot(size_t h, int bits) {
+  return static_cast<size_t>((static_cast<uint64_t>(h) *
+                              0x9e3779b97f4a7c15ull) >>
+                             (64 - bits));
+}
+
+inline int SlotBits(const JoinHashTable& ht) {
+  int bits = 0;
+  while ((size_t{1} << bits) < ht.slots.size()) ++bits;
+  return bits;
+}
+
+/// Walks the probe sequence of hash `h` and returns the slot index that
+/// either holds the distinct key equal to the one `key_at(k)` yields, or
+/// is empty (the key is absent). `rep(d)` is the build row representing
+/// distinct key d.
+template <typename KeyAt, typename RepOf>
+size_t FindJoinSlot(const JoinHashTable& ht, int bits, size_t h,
+                    KeyAt key_at, RepOf rep) {
+  const size_t mask = ht.slots.size() - 1;
+  for (size_t s = JoinSlot(h, bits);; s = (s + 1) & mask) {
+    const uint32_t d1 = ht.slots[s];
+    if (d1 == 0) return s;
+    const uint32_t d = d1 - 1;
+    if (ht.key_hash[d] != h) continue;
+    const uint32_t r = rep(d);
+    bool eq = true;
+    for (size_t k = 0; k < ht.keys.size() && eq; ++k) {
+      eq = ht.keys[k][r] == key_at(k);
+    }
+    if (eq) return s;
+  }
+}
+
+/// Resolves a join's key and appended column positions and sizes the
+/// table's columns for `rows` build rows.
+JoinHashTable NewJoinTable(const PhysOp& op, bool lazy, size_t rows,
+                           std::vector<int>* rkey,
+                           std::vector<int>* rappend) {
   const auto& lcols = op.children[0]->out_cols;
   const auto& rcols = op.children[1]->out_cols;
+  if (rows >= std::numeric_limits<uint32_t>::max()) {
+    throw std::runtime_error("HashJoin: build side exceeds 2^32 rows");
+  }
   JoinHashTable ht;
-  ht.rows = &right;
+  ht.lazy = lazy;
   for (const auto& k : op.join_keys) {
     ht.lkey.push_back(IndexOf(lcols, k));
-    ht.rkey.push_back(IndexOf(rcols, k));
-    if (ht.lkey.back() < 0 || ht.rkey.back() < 0) {
+    rkey->push_back(IndexOf(rcols, k));
+    if (ht.lkey.back() < 0 || rkey->back() < 0) {
       throw std::runtime_error("HashJoin: key column '" + k +
                                "' missing from an input");
     }
   }
   // Right columns appended beyond the left layout.
   for (size_t i = lcols.size(); i < op.out_cols.size(); ++i) {
-    ht.rappend.push_back(IndexOf(rcols, op.out_cols[i]));
-    if (ht.rappend.back() < 0) {
+    rappend->push_back(IndexOf(rcols, op.out_cols[i]));
+    if (rappend->back() < 0) {
       throw std::runtime_error("HashJoin: output column '" + op.out_cols[i] +
                                "' missing from the right input");
     }
   }
-  for (size_t ri = 0; ri < right.size(); ++ri) {
-    std::vector<Value> key;
-    key.reserve(ht.rkey.size());
-    for (int i : ht.rkey) key.push_back(right[ri][static_cast<size_t>(i)]);
-    ht.index[std::move(key)].push_back(static_cast<uint32_t>(ri));
+  ht.keys.resize(rkey->size());
+  for (auto& c : ht.keys) c.reserve(rows);
+  ht.append.resize(rappend->size());
+  if (!lazy) {
+    for (auto& c : ht.append) c.reserve(rows);
   }
   return ht;
 }
 
-Batch Kernels::JoinProbeBatch(const PhysOp& op, const Batch& left,
-                              const JoinHashTable& ht) const {
-  const size_t nlcols = op.children[0]->out_cols.size();
-  Batch out(op.out_cols.size());
-  // Floor reserve: joins commonly emit about one row per probe row.
-  for (size_t c = 0; c < op.out_cols.size(); ++c) {
-    out.col(c).reserve(left.size());
+/// Appends one build row, read through `at(column)`, to the table's key
+/// and (unless lazy) appended columns.
+template <typename ValueAt>
+void AppendBuildRow(JoinHashTable* ht, const std::vector<int>& rkey,
+                    const std::vector<int>& rappend, ValueAt at) {
+  for (size_t k = 0; k < rkey.size(); ++k) {
+    ht->keys[k].push_back(at(static_cast<size_t>(rkey[k])));
   }
-  Row scratch;
-  std::vector<Value> key;
-  auto emit_left = [&](const Row& l) {
-    for (size_t c = 0; c < nlcols; ++c) out.col(c).push_back(l[c]);
-  };
-  for (size_t i = 0; i < left.size(); ++i) {
-    left.GatherRow(i, &scratch);
-    key.clear();
-    key.reserve(ht.lkey.size());
-    for (int k : ht.lkey) key.push_back(scratch[static_cast<size_t>(k)]);
-    auto it = ht.index.find(key);
-    bool matched = it != ht.index.end() && !it->second.empty();
-    if (op.join_kind == JoinKind::kSemi) {
-      if (matched) emit_left(scratch);
-      continue;
+  if (ht->lazy) return;
+  for (size_t j = 0; j < rappend.size(); ++j) {
+    ht->append[j].push_back(at(static_cast<size_t>(rappend[j])));
+  }
+}
+
+/// Groups the build rows collected in `ht->keys` by key: assigns distinct
+/// key ids in first-occurrence order, then lays the rows out key by key
+/// (a counting sort, so each key's rows stay in build order).
+void IndexJoinTable(JoinHashTable* ht, size_t rows) {
+  int bits = 1;
+  while ((size_t{1} << bits) < 2 * rows) ++bits;
+  ht->slots.assign(size_t{1} << bits, 0);
+  std::vector<uint32_t> row_key(rows);
+  std::vector<uint32_t> first_row;  // per distinct key, while building
+  std::vector<uint32_t> count;
+  for (size_t r = 0; r < rows; ++r) {
+    size_t h = kJoinHashSeed;
+    for (const auto& col : ht->keys) h = HashCombine(h, col[r].Hash());
+    const size_t s = FindJoinSlot(
+        *ht, bits, h, [&](size_t k) -> const Value& { return ht->keys[k][r]; },
+        [&](uint32_t d) { return first_row[d]; });
+    if (ht->slots[s] == 0) {
+      ht->slots[s] = static_cast<uint32_t>(first_row.size()) + 1;
+      ht->key_hash.push_back(h);
+      first_row.push_back(static_cast<uint32_t>(r));
+      count.push_back(0);
     }
-    if (op.join_kind == JoinKind::kAnti) {
-      if (!matched) emit_left(scratch);
+    row_key[r] = ht->slots[s] - 1;
+    ++count[row_key[r]];
+  }
+  ht->offsets.assign(count.size() + 1, 0);
+  for (size_t d = 0; d < count.size(); ++d) {
+    ht->offsets[d + 1] = ht->offsets[d] + count[d];
+  }
+  std::vector<uint32_t> cursor(ht->offsets.begin(), ht->offsets.end() - 1);
+  ht->positions.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    ht->positions[cursor[row_key[r]]++] = static_cast<uint32_t>(r);
+  }
+}
+
+}  // namespace
+
+JoinHashTable Kernels::BuildJoinTable(const PhysOp& op,
+                                      const std::vector<Batch>& right,
+                                      bool lazy) const {
+  const size_t rows = TotalBatchRows(right);
+  std::vector<int> rkey, rappend;
+  JoinHashTable ht = NewJoinTable(op, lazy, rows, &rkey, &rappend);
+  for (const Batch& b : right) {
+    for (size_t i = 0; i < b.size(); ++i) {
+      AppendBuildRow(&ht, rkey, rappend,
+                     [&](size_t c) -> const Value& { return b.At(i, c); });
+    }
+  }
+  IndexJoinTable(&ht, rows);
+  return ht;
+}
+
+Batch Kernels::JoinProbeBatch(const PhysOp& op, const Batch& left,
+                              const JoinHashTable& ht, bool factorize) const {
+  const size_t nlcols = op.children[0]->out_cols.size();
+  const size_t nout = op.out_cols.size();
+  const bool filter_only =
+      op.join_kind == JoinKind::kSemi || op.join_kind == JoinKind::kAnti;
+  // Semi and anti joins emit at most one row per probe row: nothing to
+  // share, so they always emit flat rows.
+  const bool fact = (factorize || ht.lazy) && !filter_only;
+  Batch out(nout);
+  if (fact) {
+    out.InitFactorized(FactorizedLayout(nout, nlcols, ht.lazy));
+    for (size_t c = 0; c < nout; ++c) {
+      if (out.col_is_group(c)) out.gcol(c).reserve(left.size());
+    }
+  }
+  // Floor reserve: joins commonly emit about one row per probe row.
+  for (size_t c = 0; c < nout; ++c) {
+    if (!out.col_is_group(c)) out.col(c).reserve(left.size());
+  }
+  const int bits = SlotBits(ht);
+  const size_t nkeys = ht.lkey.size();
+  auto rep = [&](uint32_t d) { return ht.positions[ht.offsets[d]]; };
+  for (size_t i = 0; i < left.size(); ++i) {
+    // Resolve the probe row's group once; every read below goes through
+    // the batch's own layout (Batch::At, without re-searching the group).
+    const uint32_t p = left.PhysIndex(i);
+    const uint32_t g = left.factorized() ? left.GroupOf(p) : 0;
+    auto at = [&](size_t c) -> const Value& {
+      return left.col_is_group(c) ? left.gcol(c)[g] : left.col(c)[p];
+    };
+    auto key_at = [&](size_t k) -> const Value& {
+      return at(static_cast<size_t>(ht.lkey[k]));
+    };
+    size_t h = kJoinHashSeed;
+    for (size_t k = 0; k < nkeys; ++k) h = HashCombine(h, key_at(k).Hash());
+    // The matching range of ht.positions (empty when the key is absent).
+    uint32_t begin = 0, end = 0;
+    const uint32_t d1 = ht.slots[FindJoinSlot(ht, bits, h, key_at, rep)];
+    if (d1 != 0) {
+      begin = ht.offsets[d1 - 1];
+      end = ht.offsets[d1];
+    }
+    const bool matched = begin < end;
+    if (filter_only) {
+      if (matched == (op.join_kind == JoinKind::kSemi)) {
+        for (size_t c = 0; c < nlcols; ++c) out.col(c).push_back(at(c));
+      }
       continue;
     }
     // Inner and left-outer share the matched-row emit; left-outer adds a
     // null-padded row when nothing matched.
-    if (matched) {
-      for (uint32_t ri : it->second) {
-        const Row& r = (*ht.rows)[ri];
-        emit_left(scratch);
-        for (size_t j = 0; j < ht.rappend.size(); ++j) {
-          out.col(nlcols + j).push_back(r[static_cast<size_t>(ht.rappend[j])]);
-        }
-      }
-    } else if (op.join_kind == JoinKind::kLeftOuter) {
-      emit_left(scratch);
-      for (size_t j = 0; j < ht.rappend.size(); ++j) {
-        out.col(nlcols + j).push_back(Value());
+    if (!matched && op.join_kind != JoinKind::kLeftOuter) continue;
+    const uint32_t run = matched ? end - begin : 1;
+    for (size_t c = 0; c < nlcols; ++c) {
+      if (fact) {
+        out.gcol(c).push_back(at(c));  // the probe row is the group
+      } else {
+        out.col(c).insert(out.col(c).end(), run, at(c));
       }
     }
+    for (size_t c = nlcols; c < nout; ++c) {
+      if (ht.lazy) {
+        out.gcol(c).push_back(Value());  // elided: reads as null
+      } else if (!matched) {
+        out.col(c).push_back(Value());
+      } else {
+        const auto& src = ht.append[c - nlcols];
+        for (uint32_t q = begin; q < end; ++q) {
+          out.col(c).push_back(src[ht.positions[q]]);
+        }
+      }
+    }
+    if (fact) out.CloseGroup(run);
   }
   return out;
 }
 
 std::vector<Row> Kernels::Join(const PhysOp& op, const std::vector<Row>& left,
                                const std::vector<Row>& right) const {
-  JoinHashTable ht = BuildJoinTable(op, right);
+  // Row adapter: the same table, filled from the rows directly; the probe
+  // side converts at the boundary.
+  std::vector<int> rkey, rappend;
+  JoinHashTable ht =
+      NewJoinTable(op, /*lazy=*/false, right.size(), &rkey, &rappend);
+  for (const Row& r : right) {
+    AppendBuildRow(&ht, rkey, rappend,
+                   [&](size_t c) -> const Value& { return r[c]; });
+  }
+  IndexJoinTable(&ht, right.size());
   return JoinProbeBatch(
              op, Batch::FromRows(left, op.children[0]->out_cols.size()), ht)
       .ToRows();

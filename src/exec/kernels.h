@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
 
 #include "src/exec/batch.h"
 #include "src/exec/eval.h"
@@ -24,15 +23,33 @@ struct ScanMorsel {
   size_t end = 0;
 };
 
-/// A hash table built once over a join's build (right) side, probed by any
-/// number of threads concurrently — the build/probe split of the morsel
-/// runtime. `rows` is not owned and must outlive the probes.
+/// A join's build (right) side, read once from the build pipeline's
+/// batches and then probed by any number of threads concurrently — the
+/// build/probe split of the morsel runtime. The table is columnar and
+/// flat: it keeps only the key columns and the appended columns (one entry
+/// per build row, in build order), and groups the build rows by key in two
+/// arrays — `positions` lists the rows key by key, ascending within a key,
+/// and `offsets` delimits each key's run. Distinct keys are found through
+/// an open-addressing slot array hashed with Value::Hash combined per key
+/// column, and compared with Value::operator== (int/double coercion, null
+/// equal to null). Building allocates per column, never per row.
+///
+/// A *lazy* table (the probing pipeline proved every appended column dead,
+/// docs/factorization.md) stores no appended values; its probe emits one
+/// multiplicity group per matched probe row instead of copied rows.
 struct JoinHashTable {
-  const std::vector<Row>* rows = nullptr;  ///< build-side rows
-  std::unordered_map<std::vector<Value>, std::vector<uint32_t>, ValueVecHash>
-      index;                    ///< join key -> build row positions
-  std::vector<int> lkey, rkey;  ///< key column positions per side
-  std::vector<int> rappend;     ///< build columns appended to the output
+  bool lazy = false;
+  std::vector<int> lkey;  ///< probe-side key column positions
+  std::vector<std::vector<Value>> keys;    ///< per key column, per build row
+  std::vector<std::vector<Value>> append;  ///< per appended column (empty when lazy)
+  /// Distinct keys, numbered in first-occurrence order: key d owns
+  /// positions[offsets[d] .. offsets[d + 1]), and positions[offsets[d]] is
+  /// its first build row (the one whose key values represent it).
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> positions;
+  std::vector<size_t> key_hash;  ///< per distinct key
+  /// Power-of-two open-addressing array: distinct key id + 1, 0 = empty.
+  std::vector<uint32_t> slots;
 };
 
 /// Operator kernels shared by every runtime. The streaming kernels (scan,
@@ -44,9 +61,10 @@ struct JoinHashTable {
 /// adapters over the batch kernels (converting at the boundary, one extra
 /// value copy each way), while the two where that boundary would
 /// dominate — Filter and Project — keep trivially equivalent row-native
-/// bodies. The blocking kernels (aggregate, sort/limit, dedup, union,
-/// join build) materialize by nature and stay row-based; both runtimes
-/// call them on materialized rows at pipeline breakers.
+/// bodies. The join build reads batches directly. The other blocking
+/// kernels (aggregate, sort/limit, dedup, union) materialize by nature and
+/// stay row-based; both runtimes call them on materialized rows at
+/// pipeline breakers.
 class Kernels {
  public:
   /// `pstore` (optional) attaches a sharded store. All graph reads are
@@ -108,14 +126,23 @@ class Kernels {
   Batch UnfoldBatch(const PhysOp& op, const Batch& in,
                     bool factorize = false) const;
 
-  /// Builds the probe hash table over the join's build (right) side.
-  /// `right` must outlive every probe against the returned table.
+  /// Builds the join table straight from the build (right) side's
+  /// batches — flat or factorized, any selection — reading only the key
+  /// and appended columns, in batch order. With `lazy` the appended
+  /// columns are not stored (see JoinHashTable).
   JoinHashTable BuildJoinTable(const PhysOp& op,
-                               const std::vector<Row>& right) const;
-  /// Streams probe-side batches through a prebuilt table (thread-safe:
-  /// the table is read-only during probing).
+                               const std::vector<Batch>& right,
+                               bool lazy = false) const;
+  /// Streams one probe-side batch through a prebuilt table (thread-safe:
+  /// the table is read-only during probing). Probe rows are read in place
+  /// through the batch's group mapping — a factorized input is never
+  /// flattened. Output rows keep the probe order, and each probe row's
+  /// matches the build order. With `factorize` (inner and left-outer
+  /// joins) each emitting probe row becomes one prefix group whose run
+  /// holds its matches' appended values; a lazy table elides those too,
+  /// leaving a pure multiplicity. Logical rows are identical in every mode.
   Batch JoinProbeBatch(const PhysOp& op, const Batch& left,
-                       const JoinHashTable& ht) const;
+                       const JoinHashTable& ht, bool factorize = false) const;
 
   // ---- blocking kernels (pipeline-breaker sinks) ----
 

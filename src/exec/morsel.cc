@@ -93,7 +93,6 @@ MorselExecutor::MorselExecutor(const PropertyGraph* g, MorselOptions opts,
 ResultTable MorselExecutor::Execute(const PhysOpPtr& root,
                                     const PipelinePlan* plan) {
   results_.clear();
-  join_rows_.clear();
   join_tables_.clear();
   stats_ = ExecStats{};
   if (pg_ != nullptr) {
@@ -114,7 +113,7 @@ ResultTable MorselExecutor::Execute(const PhysOpPtr& root,
     // every morsel inside RunPipeline): a breaker-heavy plan cannot run
     // a whole extra pipeline after its budget tripped.
     cancel_.Check();
-    RunPipeline(p);
+    RunPipeline(p, p.sink == root.get());
   }
   // One executor instance per Execute, so the kernel counters started at
   // zero: the final values are this run's totals.
@@ -143,7 +142,7 @@ Batch MorselExecutor::ApplyStreamingOp(const Pipeline& p, size_t i,
     case PhysOpKind::kUnfold:
       return k_.UnfoldBatch(op, in, fact);
     case PhysOpKind::kHashJoin:
-      return k_.JoinProbeBatch(op, in, join_tables_.at(&op));
+      return k_.JoinProbeBatch(op, in, join_tables_.at(&op), fact);
     default:
       throw std::logic_error(
           "MorselExecutor: non-streaming operator in a pipeline chain");
@@ -224,7 +223,7 @@ void MorselExecutor::RunUnionSink(const Pipeline& p) {
       BatchesFromRows(rows, op.out_cols.size(), opts_.batch_rows);
 }
 
-void MorselExecutor::RunPipeline(const Pipeline& p) {
+void MorselExecutor::RunPipeline(const Pipeline& p, bool is_root) {
   const auto t0 = std::chrono::steady_clock::now();
   // Pipelines run sequentially, so the counter deltas over this call are
   // exactly this pipeline's dispatches (workers within the pipeline have
@@ -238,15 +237,18 @@ void MorselExecutor::RunPipeline(const Pipeline& p) {
   if (p.source == nullptr) {
     RunUnionSink(p);
   } else {
-    // Build the hash tables of every probe stage in the chain (their build
-    // sides materialized in dependency pipelines).
-    for (const PhysOp* op : p.ops) {
+    // Build the tables of every probe stage in the chain straight from
+    // their build sides' batches (materialized in dependency pipelines). A
+    // join the chooser marked lazy gets a table without appended columns.
+    for (size_t i = 0; i < p.ops.size(); ++i) {
+      const PhysOp* op = p.ops[i];
       if (op->kind != PhysOpKind::kHashJoin || join_tables_.count(op)) {
         continue;
       }
-      std::vector<Row>& rows = join_rows_[op];
-      rows = RowsFromBatches(results_.at(op->children[1].get()));
-      join_tables_.emplace(op, k_.BuildJoinTable(*op, rows));
+      const bool lazy =
+          p.factorized && i < p.lazy_ops.size() && p.lazy_ops[i] != 0;
+      join_tables_.emplace(
+          op, k_.BuildJoinTable(*op, results_.at(op->children[1].get()), lazy));
     }
 
     std::vector<ScanMorsel> scan_morsels;
@@ -401,14 +403,20 @@ void MorselExecutor::RunPipeline(const Pipeline& p) {
           BatchesFromRows(rows, p.sink->out_cols.size(), opts_.batch_rows);
     } else {
       // Terminal collect: keep per-morsel batches, reassembled in morsel
-      // order so the result is identical for any thread count. Flatten is
-      // where a factorized chain's deferred materialization finally
-      // happens (free for flat, selection-less batches).
+      // order so the result is identical for any thread count. Every
+      // consumer of an intermediate collect (join builds, pipeline
+      // sources, breakers) reads batches through their layout, so those
+      // keep their groups; they are only compacted when a selection would
+      // otherwise pin filtered-out rows. The root's batches are flattened:
+      // that is where a factorized chain's deferred materialization
+      // finally happens (free for flat, selection-less batches).
       std::vector<Batch>& res = results_[p.sink];
       for (Batch& b : out) {
         if (b.size() > 0) {
-          if (b.factorized()) stats_.tuples_materialized += b.size();
-          b.Flatten();
+          if (is_root || b.has_selection()) {
+            if (b.factorized()) stats_.tuples_materialized += b.size();
+            b.Flatten();
+          }
           res.push_back(std::move(b));
         }
       }

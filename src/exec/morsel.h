@@ -132,7 +132,9 @@ class MorselExecutor {
     uint64_t groups = 0;
   };
 
-  void RunPipeline(const Pipeline& p);
+  /// Runs one pipeline; `is_root` marks the one materializing the plan
+  /// root, whose collected batches are flattened for the result table.
+  void RunPipeline(const Pipeline& p, bool is_root);
   /// Streams one source batch through the pipeline's operator chain,
   /// accumulating per-operator counts into `*cs`. The owned overload
   /// filters in place (scan batches belong to the worker); the shared
@@ -160,9 +162,8 @@ class MorselExecutor {
   ExecStats stats_;
   /// Materialized sink outputs, keyed by operator node (the DAG memo).
   std::map<const PhysOp*, std::vector<Batch>> results_;
-  /// Join build sides: the owned build rows plus the hash table probing
-  /// them (JoinHashTable::rows points into join_rows_).
-  std::map<const PhysOp*, std::vector<Row>> join_rows_;
+  /// Join tables, built from the build side's materialized batches before
+  /// the probing pipeline starts.
   std::map<const PhysOp*, JoinHashTable> join_tables_;
 };
 

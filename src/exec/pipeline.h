@@ -51,14 +51,15 @@ struct Pipeline {
   /// EngineOptions::factorization mode; BuildPipelinePlan leaves it false.
   bool factorized = false;
   /// Parallel to `ops` when `factorized`: 1 marks an expansion whose
-  /// produced columns are provably dead downstream of this pipeline, so it
+  /// produced columns — or an inner / left-outer hash join whose appended
+  /// build columns — are provably dead downstream of this pipeline, so it
   /// emits multiplicity-only groups (no per-row values at all). Empty when
   /// not factorized.
   std::vector<uint8_t> lazy_ops;
-  /// Points inside or at the end of this pipeline where factorized batches
-  /// are forced flat again (row-needing breaker sinks, terminal collects
-  /// feeding row consumers, hash-join builds). Purely informational — the
-  /// runtime flattens wherever it must regardless.
+  /// Points at the end of this pipeline where factorized batches are
+  /// forced flat again (row-needing breaker sinks, the terminal collect of
+  /// the plan root). Purely informational — the runtime flattens wherever
+  /// it must regardless.
   int flatten_points = 0;
 
   /// True when the sink is a breaker (its blocking kernel still has to run

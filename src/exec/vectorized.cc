@@ -298,11 +298,29 @@ inline uint8_t KeepCmp(int c, BinOp op) {
   }
 }
 
+/// Membership of a non-null `v` in an IN term's list, as ExprEval's kIn:
+/// true when some element is Value::operator== to `v`. Int operands of an
+/// all-int list binary-search the sorted copy (int/int equality is exact,
+/// so the verdict is the same); everything else — doubles that may equal
+/// an int, NaN, strings, vertices — scans the list with ==.
+inline uint8_t InList(const Value& v, const CompiledPredicate::Term& t) {
+  if (t.int_list && v.kind() == Value::Kind::kInt) {
+    return std::binary_search(t.sorted_ints.begin(), t.sorted_ints.end(),
+                              v.AsInt());
+  }
+  if (t.cst.kind() != Value::Kind::kList) return 0;
+  for (const Value& x : t.cst.AsList()) {
+    if (v == x) return 1;
+  }
+  return 0;
+}
+
 /// One term on one value, exactly ExprEval's semantics: a null operand
-/// makes the comparison null, which EvalBool reads as false; otherwise the
-/// verdict comes from Value::Compare.
+/// makes the comparison (or membership test) null, which EvalBool reads as
+/// false; otherwise the verdict comes from Value::Compare.
 inline uint8_t EvalTermValue(const Value& v, const CompiledPredicate::Term& t) {
   if (v.is_null() || t.cst.is_null()) return 0;
+  if (t.cmp == BinOp::kIn) return InList(v, t);
   return KeepCmp(v.Compare(t.cst), t.cmp);
 }
 
@@ -342,6 +360,8 @@ void ApplyTermMask(size_t n, AccessFn at, const CompiledPredicate::Term& t,
     all_double = all_double && k == Value::Kind::kDouble;
   }
   uint8_t* m = mask->data();
+  // IN terms carry a list constant, so they skip both typed loops and take
+  // the per-value loop below (InList binary-searches int operands).
   if (all_int && t.cst.kind() == Value::Kind::kInt) {
     std::vector<int64_t> buf(n);
     for (size_t i = 0; i < n; ++i) buf[i] = at(i).AsInt();
@@ -427,7 +447,9 @@ std::unique_ptr<CompiledPredicate> CompiledPredicate::Compile(
       stack.push_back(cur->args[1].get());
       continue;
     }
-    if (cur->kind != Expr::Kind::kBinary || !IsCmp(cur->bin)) return nullptr;
+    if (cur->kind != Expr::Kind::kBinary) return nullptr;
+    const bool is_in = cur->bin == BinOp::kIn;
+    if (!is_in && !IsCmp(cur->bin)) return nullptr;
     const Expr* lhs = cur->args[0].get();
     const Expr* rhs = cur->args[1].get();
     Term t;
@@ -435,7 +457,7 @@ std::unique_ptr<CompiledPredicate> CompiledPredicate::Compile(
     const Expr* colex = nullptr;
     if (ConstOperand(*rhs, params, &t.cst)) {
       colex = lhs;
-    } else if (ConstOperand(*lhs, params, &t.cst)) {
+    } else if (!is_in && ConstOperand(*lhs, params, &t.cst)) {
       colex = rhs;
       t.cmp = FlipCmp(t.cmp);
     } else {
@@ -457,7 +479,28 @@ std::unique_ptr<CompiledPredicate> CompiledPredicate::Compile(
     } else {
       return nullptr;
     }
-    if (t.cst.is_null()) cp->always_false_ = true;
+    if (is_in) {
+      // IN over a null or a non-list is null / false for every row.
+      if (t.cst.kind() != Value::Kind::kList) {
+        cp->always_false_ = true;
+      } else {
+        t.int_list = true;
+        for (const Value& x : t.cst.AsList()) {
+          if (x.kind() != Value::Kind::kInt) {
+            t.int_list = false;
+            break;
+          }
+          t.sorted_ints.push_back(x.AsInt());
+        }
+        if (t.int_list) {
+          std::sort(t.sorted_ints.begin(), t.sorted_ints.end());
+        } else {
+          t.sorted_ints.clear();
+        }
+      }
+    } else if (t.cst.is_null()) {
+      cp->always_false_ = true;
+    }
     cp->terms_.push_back(std::move(t));
   }
   return cp;

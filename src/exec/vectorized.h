@@ -109,14 +109,15 @@ class TypedVertexAppender {
   std::vector<Value>* col_;
 };
 
-/// A compiled conjunction of `column <cmp> constant` terms — the filter
-/// shapes FilterSelection evaluates branch-free over typed columns instead
-/// of walking the expression tree per row. Compile returns nullptr for
-/// anything outside the recognized shape (the caller then falls back to
-/// ExprEval), and the compiled evaluation is exactly ExprEval::EvalBool's
-/// semantics: null operands compare to false, int/int comparisons stay
-/// integral, mixed numeric comparisons coerce through double — identical
-/// to Value::Compare.
+/// A compiled conjunction of `column <cmp> constant` and `column IN list`
+/// terms — the filter shapes FilterSelection and the scan evaluate
+/// branch-free over typed columns instead of walking the expression tree
+/// per row. Compile returns nullptr for anything outside the recognized
+/// shape (the caller then falls back to ExprEval), and the compiled
+/// evaluation is exactly ExprEval::EvalBool's semantics: null operands
+/// compare to false, int/int comparisons stay integral, mixed numeric
+/// comparisons coerce through double — identical to Value::Compare; an IN
+/// term holds when some list element is Value::operator== to the operand.
 class CompiledPredicate {
  public:
   /// One comparison term. `col` indexes the input layout; property terms
@@ -129,13 +130,19 @@ class CompiledPredicate {
     const std::vector<Value>* vprop = nullptr;  ///< hoisted vertex prop column
     std::string prop;                           ///< property name (edge reads)
     const PropertyGraph* g = nullptr;
-    BinOp cmp = BinOp::kEq;
+    BinOp cmp = BinOp::kEq;  ///< a comparison, or kIn (cst is then a list)
     Value cst;
+    /// kIn over an all-int list: the elements sorted, for binary search of
+    /// int operands. Empty otherwise (then the list is scanned with ==).
+    std::vector<int64_t> sorted_ints;
+    bool int_list = false;
   };
 
   /// Compiles `e` against the layout `cols`. Conjunctions split into
   /// terms; each term must be kVar/kProperty <cmp> kLiteral/kParam (either
-  /// side) with cmp in {=, <>, <, <=, >, >=}. Parameters resolve through
+  /// side) with cmp in {=, <>, <, <=, >, >=}, or kVar/kProperty IN
+  /// kLiteral/kParam (a right side that is not a list makes the whole
+  /// conjunction false, as in ExprEval). Parameters resolve through
   /// `params` at compile time (per batch, not per row). Property terms
   /// require `allow_property` — the engine passes false when a sharded
   /// store is attached, keeping property reads owner-routed on that path.
@@ -158,8 +165,9 @@ class CompiledPredicate {
   void FilterVertexIds(std::vector<VertexId>* vids) const;
 
   size_t num_terms() const { return terms_.size(); }
-  /// A term compares against a null constant: the conjunction can never
-  /// hold (comparison with null is null, i.e. false).
+  /// A term compares against a null constant, or tests membership in a
+  /// non-list: the conjunction can never hold (comparison with null is
+  /// null, IN over a non-list is false).
   bool always_false() const { return always_false_; }
 
  private:

@@ -14,6 +14,20 @@ bool IsExpansion(PhysOpKind k) {
          k == PhysOpKind::kPathExpand;
 }
 
+/// Inner and left-outer hash joins can fan a probe row out over its
+/// matches; semi and anti joins emit at most the probe row itself.
+bool IsFanOutJoin(const PhysOp& op) {
+  return op.kind == PhysOpKind::kHashJoin &&
+         (op.join_kind == JoinKind::kInner ||
+          op.join_kind == JoinKind::kLeftOuter);
+}
+
+/// Build-side columns a hash join appends beyond its probe layout.
+std::vector<std::string> AppendedCols(const PhysOp& op) {
+  const size_t nl = op.children[0]->out_cols.size();
+  return std::vector<std::string>(op.out_cols.begin() + nl, op.out_cols.end());
+}
+
 void CollectPredTags(const std::vector<ExprPtr>& preds,
                      std::set<std::string>* tags) {
   for (const auto& p : preds) {
@@ -60,10 +74,12 @@ void ChooseFactorization(PipelinePlan* plan, FactorizationMode mode) {
     if (mode == FactorizationMode::kOff) continue;
 
     size_t n_expansions = 0;
+    size_t n_joins = 0;
     for (const PhysOp* op : p.ops) {
       if (IsExpansion(op->kind)) ++n_expansions;
+      if (IsFanOutJoin(*op)) ++n_joins;
     }
-    if (n_expansions == 0) continue;
+    if (n_expansions == 0 && n_joins == 0) continue;
 
     // Backward liveness from the sink: which columns does anything
     // downstream of each op actually read? Only an aggregating sink makes
@@ -93,6 +109,18 @@ void ChooseFactorization(PipelinePlan* plan, FactorizationMode mode) {
           any_lazy = true;
         }
       }
+      if (IsFanOutJoin(op) && !all_live) {
+        // A join whose appended columns are all dead emits one
+        // multiplicity group per matched probe row instead of copying the
+        // row once per match — even with nothing appended, since the
+        // copies are what it saves.
+        bool needed = false;
+        for (const auto& c : AppendedCols(op)) needed |= live.count(c) > 0;
+        if (!needed) {
+          lazy[idx] = 1;
+          any_lazy = true;
+        }
+      }
       if (all_live) continue;
       // Fold the op's own reads into the live set (kernels evaluate
       // predicates and expressions on real values, so every referenced
@@ -109,10 +137,7 @@ void ChooseFactorization(PipelinePlan* plan, FactorizationMode mode) {
           break;
         case PhysOpKind::kExpandIntersect:
           live.erase(op.alias);
-          for (const auto& arm : op.arms) {
-            live.insert(arm.from_tag);
-            CollectPredTags(arm.edge_preds, &live);
-          }
+          for (const auto& arm : op.arms) live.insert(arm.from_tag);
           CollectPredTags(op.vertex_preds, &live);
           break;
         case PhysOpKind::kSelect:
@@ -129,9 +154,15 @@ void ChooseFactorization(PipelinePlan* plan, FactorizationMode mode) {
           live.erase(op.unfold_alias);
           live.insert(op.unfold_tag);
           break;
+        case PhysOpKind::kHashJoin:
+          // The probe passes its input columns through, appends the build
+          // side's, and reads its key columns.
+          for (const auto& c : AppendedCols(op)) live.erase(c);
+          for (const auto& k : op.join_keys) live.insert(k);
+          break;
         default:
-          // HashJoin probes (and anything unforeseen) may surface every
-          // input column: be conservative below this point.
+          // Anything unforeseen may surface every input column: be
+          // conservative below this point.
           all_live = true;
           break;
       }
@@ -161,14 +192,13 @@ void ChooseFactorization(PipelinePlan* plan, FactorizationMode mode) {
 
     p.factorized = true;
     p.lazy_ops = std::move(lazy);
-    // Informational: where groups get expanded back to rows.
+    // Informational: where groups get expanded back to rows. Join builds
+    // and probes read factorized batches in place, and so do the
+    // consumers of an intermediate collect.
     if (p.sink_is_breaker()) {
       if (p.sink->kind != PhysOpKind::kAggregate) p.flatten_points++;
-    } else {
+    } else if (&p == &plan->pipelines.back()) {
       p.flatten_points++;  // terminal collect row-ifies at the root
-    }
-    for (const PhysOp* op : p.ops) {
-      if (op->kind == PhysOpKind::kHashJoin) p.flatten_points++;
     }
   }
 }

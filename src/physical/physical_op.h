@@ -39,10 +39,6 @@ struct IntersectArm {
   std::string from_tag;
   Direction dir = Direction::kOut;  ///< kOut: follow src->dst from the tag
   TypeConstraint etc_;
-  /// Not evaluated: arms intersect neighbor sets and never see individual
-  /// edges, so the converter expands edges with predicates sequentially
-  /// and leaves this empty.
-  std::vector<ExprPtr> edge_preds;
 };
 
 /// A physical operator node. Like LogicalOp, a single struct with per-kind

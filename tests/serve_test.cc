@@ -18,6 +18,7 @@
 #include "src/engine/engine.h"
 #include "src/ldbc/ldbc.h"
 #include "src/serve/serving.h"
+#include "src/workloads/queries.h"
 
 namespace gopt {
 namespace {
@@ -231,6 +232,27 @@ TEST(ServeTest, RowBudgetChargesExactlyRowsProduced) {
       EXPECT_EQ(exact.status, ExecStatus::kOk);
       EXPECT_EQ(exact.stats.rows_produced, rows);
     }
+  }
+  // An s-t query whose hash join is lazy (its build columns are dead under
+  // COUNT(*)): the join emits one multiplicity group per matched probe
+  // row, yet charges — and reports — every logical row it stands for.
+  auto fraud = GenerateFraud(600, 4.0, 3);
+  const std::string st =
+      StQuery(6, {1, 2, 3, 4, 5, 6}, {10, 11, 12, 13, 14, 15});
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("ST query, exec_threads " + std::to_string(threads));
+    EngineOptions opts;
+    opts.exec_threads = threads;
+    GOptEngine engine(fraud.graph.get(), BackendSpec::Neo4jLike(), opts);
+    Prepared prep = engine.Prepare(st);
+    EXPECT_NE(engine.Explain(prep).find("HashJoin[lazy]"), std::string::npos)
+        << engine.Explain(prep);
+    const uint64_t rows = engine.Execute(prep).stats.rows_produced;
+    ASSERT_GT(rows, 1u);
+    EXPECT_EQ(run(engine, prep, rows - 1).status, ExecStatus::kCancelled);
+    ExecOutcome exact = run(engine, prep, rows);
+    EXPECT_EQ(exact.status, ExecStatus::kOk);
+    EXPECT_EQ(exact.stats.rows_produced, rows);
   }
 }
 

@@ -465,6 +465,115 @@ TEST_F(CompiledPredicateTest, UnrecognizedShapesRefuseToCompile) {
             nullptr);
 }
 
+TEST_F(CompiledPredicateTest, InTermsMatchExprEval) {
+  // Every column (ints + a double + null; doubles with NaN, -0.0 and an
+  // int; strings + null; vertex refs) against lists covering: all-int
+  // (sorted binary search), int vs double equality (2 vs 2.0), strings,
+  // nulls inside the list, the empty list, NaN, and vertex refs.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto i64 = [](int64_t x) { return Value(x); };
+  const std::vector<std::vector<Value>> lists = {
+      {i64(5), i64(1), i64(-3)},
+      {i64(2)},
+      {Value(2.0)},
+      {Value(2.5), i64(7)},
+      {Value(0.0)},
+      {Value("x"), Value("z")},
+      {Value(), i64(1)},
+      {Value()},
+      {},
+      {Value(nan)},
+      {Value(VertexRef{1}), Value(VertexRef{2})},
+  };
+  for (const char* col : {"a", "b", "s", "v"}) {
+    for (const auto& l : lists) {
+      ExprPtr e = Cmp(BinOp::kIn, Expr::MakeVar(col),
+                      Expr::MakeLiteral(Value::List(l)));
+      SCOPED_TRACE(e->ToString());
+      ExpectParity(e);
+    }
+  }
+  // Property operand, through the hoisted column (ids 100/200/300 plus a
+  // dangling null-vertex ref that reads null).
+  ExpectParity(Cmp(BinOp::kIn, Expr::MakeProperty("v", "id"),
+                   Expr::MakeLiteral(Value::List({i64(300), i64(100)}))));
+  ExpectParity(Cmp(BinOp::kIn, Expr::MakeProperty("v", "id"),
+                   Expr::MakeLiteral(Value::List({Value(200.0)}))));
+  // Under a selection and inside a conjunction.
+  batch_.SetSelection({4, 1, 0});
+  ExpectParity(Expr::MakeBinary(
+      BinOp::kAnd,
+      Cmp(BinOp::kIn, Expr::MakeVar("a"),
+          Expr::MakeLiteral(Value::List({i64(5), i64(1)}))),
+      Cmp(BinOp::kIn, Expr::MakeVar("s"),
+          Expr::MakeLiteral(Value::List({Value("y"), Value("x")})))));
+}
+
+TEST_F(CompiledPredicateTest, InTermParamsAndNonListSides) {
+  ParamMap params{{"ids", Value::List({Value(static_cast<int64_t>(-3)),
+                                       Value(static_cast<int64_t>(5))})},
+                  {"scalar", Value(static_cast<int64_t>(5))},
+                  {"nothing", Value()}};
+  eval_.set_params(&params);
+  ExprPtr e = Cmp(BinOp::kIn, Expr::MakeVar("a"), Expr::MakeParam("ids"));
+  EXPECT_EQ(Fast(e, &params), Generic(e));
+  EXPECT_FALSE(Generic(e).empty());
+  // A right side that is not a list (a scalar, a null) is false for every
+  // row, in ExprEval and compiled alike.
+  for (const char* name : {"scalar", "nothing"}) {
+    ExprPtr bad = Cmp(BinOp::kIn, Expr::MakeVar("a"), Expr::MakeParam(name));
+    auto cp = CompiledPredicate::Compile(*bad, cols_, &params, &g_, true);
+    ASSERT_NE(cp, nullptr) << name;
+    EXPECT_TRUE(cp->always_false()) << name;
+    EXPECT_EQ(Fast(bad, &params), Generic(bad)) << name;
+    EXPECT_TRUE(Generic(bad).empty()) << name;
+  }
+  ExprPtr lit = Cmp(BinOp::kIn, Expr::MakeVar("a"),
+                    Expr::MakeLiteral(Value(static_cast<int64_t>(5))));
+  EXPECT_EQ(Fast(lit), Generic(lit));
+  eval_.set_params(nullptr);
+  // Unbound list parameter and a list on the left: not compiled.
+  EXPECT_EQ(CompiledPredicate::Compile(*e, cols_, nullptr, &g_, true),
+            nullptr);
+  EXPECT_EQ(CompiledPredicate::Compile(
+                *Cmp(BinOp::kIn,
+                     Expr::MakeLiteral(Value::List({Value(
+                         static_cast<int64_t>(1))})),
+                     Expr::MakeVar("a")),
+                cols_, nullptr, &g_, true),
+            nullptr);
+}
+
+TEST_F(CompiledPredicateTest, InTermsFilterScanVertexIds) {
+  // The scan fast path: FilterVertexIds over candidate ids, var and
+  // property operands, against ExprEval on the one-column scan row.
+  const ColMap self{{"v", 0}};
+  const std::vector<ExprPtr> preds = {
+      Cmp(BinOp::kIn, Expr::MakeProperty("v", "id"),
+          Expr::MakeLiteral(Value::List({Value(static_cast<int64_t>(300)),
+                                         Value(static_cast<int64_t>(100))}))),
+      Cmp(BinOp::kIn, Expr::MakeProperty("v", "id"),
+          Expr::MakeLiteral(Value::List({Value(200.0), Value()}))),
+      Cmp(BinOp::kIn, Expr::MakeProperty("v", "id"),
+          Expr::MakeLiteral(Value::List({}))),
+      Cmp(BinOp::kIn, Expr::MakeVar("v"),
+          Expr::MakeLiteral(Value::List({Value(VertexRef{2}),
+                                         Value(static_cast<int64_t>(0))}))),
+  };
+  for (const ExprPtr& e : preds) {
+    SCOPED_TRACE(e->ToString());
+    auto cp = CompiledPredicate::Compile(*e, self, nullptr, &g_, true);
+    ASSERT_NE(cp, nullptr);
+    std::vector<VertexId> got = {0, 1, 2, 7};  // 7: past the store
+    cp->FilterVertexIds(&got);
+    std::vector<VertexId> want;
+    for (VertexId v : {0, 1, 2, 7}) {
+      if (eval_.EvalBool(e, Row{Value(VertexRef{v})}, self)) want.push_back(v);
+    }
+    EXPECT_EQ(got, want);
+  }
+}
+
 TEST_F(CompiledPredicateTest, SelectionRespectedAndPhysIndicesReturned) {
   batch_.SetSelection({4, 2, 0});
   ExprPtr e = Cmp(BinOp::kGt, Expr::MakeVar("b"),
@@ -516,8 +625,8 @@ class IntersectKernelTest : public ::testing::Test {
     op->out_cols = {"a", "b", "c"};
     op->alias = "c";
     op->vtc = vtc;
-    op->arms.push_back({"a", d0, etc0, {}});
-    op->arms.push_back({"b", d1, etc1, {}});
+    op->arms.push_back({"a", d0, etc0});
+    op->arms.push_back({"b", d1, etc1});
     return op;
   }
 
