@@ -40,8 +40,10 @@ struct ScanMorsel {
 struct JoinHashTable {
   bool lazy = false;
   std::vector<int> lkey;  ///< probe-side key column positions
-  std::vector<std::vector<Value>> keys;    ///< per key column, per build row
-  std::vector<std::vector<Value>> append;  ///< per appended column (empty when lazy)
+  /// Per key column, then per appended column (left empty when lazy): one
+  /// value per build row, in build order.
+  std::vector<std::vector<Value>> keys;
+  std::vector<std::vector<Value>> append;
   /// Distinct keys, numbered in first-occurrence order: key d owns
   /// positions[offsets[d] .. offsets[d + 1]), and positions[offsets[d]] is
   /// its first build row (the one whose key values represent it).

@@ -511,7 +511,8 @@ TEST_F(BatchExecTest, HashJoinKernelMatchesNestedLoop) {
     // Build batches: flat, flat under a selection, and factorized.
     std::vector<Batch> right;
     right.push_back(Batch::FromRows({build.begin(), build.begin() + 4}, 3));
-    Batch sel_batch = Batch::FromRows({build.begin() + 4, build.begin() + 8}, 3);
+    Batch sel_batch =
+        Batch::FromRows({build.begin() + 4, build.begin() + 8}, 3);
     sel_batch.SetSelection({0, 2, 1, 3});
     right.push_back(std::move(sel_batch));
     Batch fact_build(3);
@@ -576,6 +577,15 @@ TEST_F(BatchExecTest, HashJoinKernelMatchesNestedLoop) {
       }
       // The row adapter the distributed executor calls.
       EXPECT_EQ(k.Join(*join, probe, build_order), want);
+      // An empty build side: no batches at all, or only empty ones.
+      const std::vector<Row> want_empty = NestedLoopJoin(*join, probe, {});
+      std::vector<Batch> empty_batch;
+      empty_batch.push_back(Batch::FromRows({}, 3));
+      for (const auto& none : {std::vector<Batch>{}, empty_batch}) {
+        const JoinHashTable empty = k.BuildJoinTable(*join, none);
+        EXPECT_EQ(k.JoinProbeBatch(*join, fact, empty, true).ToRows(),
+                  want_empty);
+      }
     }
   }
 }
