@@ -380,6 +380,52 @@ TEST_F(PartitionTest, DifferentialDistributedAcrossPartitionCounts) {
   }
 }
 
+/// One line per bundled workload query run on `eng`: result rows,
+/// rows_produced, comm_rows and exchanges.
+std::string DistributedCounts(GOptEngine* eng) {
+  std::string table;
+  for (const auto* set : {&IcQueries(), &BiQueries(), &QrQueries(),
+                          &QtQueries(), &QcQueries()}) {
+    for (const auto& wq : *set) {
+      ExecOutcome out =
+          eng->Run(SubstituteParams(wq.cypher, DefaultParams()));
+      table += wq.name + " rows=" + std::to_string(out.table().rows.size()) +
+               " produced=" + std::to_string(out.stats.rows_produced) +
+               " comm=" + std::to_string(out.stats.comm_rows) +
+               " exchanges=" + std::to_string(out.stats.exchanges) + "\n";
+    }
+  }
+  return table;
+}
+
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST_F(PartitionTest, DistributedWorkCountsArePinned) {
+  // The distributed executor's deterministic work counters on every
+  // bundled workload, in both storage modes, pinned as one digest per
+  // mode. A refactor of the executor or its kernels must leave every
+  // count unchanged; on a mismatch the per-query table is printed.
+  struct Mode {
+    const char* name;
+    int partitions;
+    uint64_t digest;
+  };
+  const Mode modes[] = {{"legacy W=3", 0, 17778196219765108177ull},
+                        {"hash store P=3", 3, 11476428629080403166ull}};
+  for (const Mode& m : modes) {
+    auto eng = MakeDistEngine(m.partitions, /*workers=*/3);
+    const std::string table = DistributedCounts(eng.get());
+    EXPECT_EQ(Fnv1a(table), m.digest) << m.name << ":\n" << table;
+  }
+}
+
 TEST_F(PartitionTest, CommRowsBecomeEdgeCutOnMultiHopChain) {
   // On the legacy simulated store every expansion re-hashes its output;
   // on the sharded store the exchange is lazy (rows move only when a
