@@ -28,8 +28,7 @@ struct TypedView {
 /// column plus an optional *selection vector* — the list of physical row
 /// positions that are still live. Filters refine the selection instead of
 /// moving data; all other kernels iterate the active rows in selection
-/// order, so batch execution visits rows in exactly the order the
-/// row-at-a-time kernels do.
+/// order, so every kernel visits rows in input order.
 ///
 /// A batch may additionally be *factorized* (docs/factorization.md): some
 /// columns are then *group columns* storing one entry per prefix group

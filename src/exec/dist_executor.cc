@@ -1,7 +1,9 @@
 #include "src/exec/dist_executor.h"
 
 #include <algorithm>
+#include <exception>
 #include <functional>
+#include <mutex>
 #include <thread>
 
 namespace gopt {
@@ -21,6 +23,23 @@ int IndexOf(const std::vector<std::string>& cols, const std::string& c) {
 bool IsPassthrough(const ProjectItem& it) {
   return it.expr && it.expr->kind == Expr::Kind::kVar &&
          it.expr->tag == it.alias;
+}
+
+/// 0, 1, ..., n - 1: every column of an n-wide row as an exchange key.
+std::vector<int> AllColumns(size_t n) {
+  std::vector<int> idx(n);
+  for (size_t i = 0; i < n; ++i) idx[i] = static_cast<int>(i);
+  return idx;
+}
+
+size_t TotalRows(const std::vector<std::vector<Batch>>& parts) {
+  size_t n = 0;
+  for (const auto& p : parts) n += TotalBatchRows(p);
+  return n;
+}
+
+void PushNonEmpty(std::vector<Batch>* dst, Batch b) {
+  if (!b.empty()) dst->push_back(std::move(b));
 }
 
 }  // namespace
@@ -53,34 +72,66 @@ ResultTable DistributedExecutor::Execute(const PhysOpPtr& root) {
   stats_.gen_dispatch = k_.generic_dispatches();
   ResultTable out;
   out.columns = root->out_cols;
-  for (auto& p : *parts) {
-    for (auto& r : p) out.rows.push_back(std::move(r));
+  for (const auto& p : *parts) {
+    for (const Batch& b : p) b.AppendRowsTo(&out.rows);
   }
   return out;
 }
 
-DistributedExecutor::Parts DistributedExecutor::ParallelApply(
-    const Parts& in,
-    std::function<std::vector<Row>(const std::vector<Row>&)> fn) const {
-  Parts out(static_cast<size_t>(workers_));
-  // Tiny partitions are not worth a thread spawn (the simulator would
+void DistributedExecutor::ForEachWorker(
+    size_t rows, const std::function<void(int)>& fn) const {
+  // Small steps are not worth a thread spawn (the simulator would
   // otherwise charge ~100us of scheduling per stage to sub-millisecond
   // queries); results are identical either way.
-  size_t total = 0;
-  for (const auto& p : in) total += p.size();
-  if (total < 2048) {
-    for (int w = 0; w < workers_; ++w) {
-      out[static_cast<size_t>(w)] = fn(in[static_cast<size_t>(w)]);
-    }
-    return out;
+  if (rows < 2048) {
+    for (int w = 0; w < workers_; ++w) fn(w);
+    return;
   }
+  std::mutex err_mu;
+  std::exception_ptr err;
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(workers_));
   for (int w = 0; w < workers_; ++w) {
-    threads.emplace_back([&, w] { out[w] = fn(in[static_cast<size_t>(w)]); });
+    threads.emplace_back([&, w] {
+      try {
+        fn(w);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(err_mu);
+        if (!err) err = std::current_exception();
+      }
+    });
   }
   for (auto& t : threads) t.join();
+  if (err) std::rethrow_exception(err);
+}
+
+DistributedExecutor::Parts DistributedExecutor::PerWorker(
+    const Parts& in,
+    const std::function<std::vector<Batch>(const std::vector<Batch>&, int)>&
+        fn) const {
+  Parts out(static_cast<size_t>(workers_));
+  ForEachWorker(TotalRows(in), [&](int w) {
+    out[static_cast<size_t>(w)] = fn(in[static_cast<size_t>(w)], w);
+  });
   return out;
+}
+
+DistributedExecutor::Parts DistributedExecutor::MapBatches(
+    const Parts& in, const std::function<Batch(const Batch&)>& fn) const {
+  return PerWorker(in, [&](const std::vector<Batch>& batches, int) {
+    std::vector<Batch> out;
+    for (const Batch& b : batches) PushNonEmpty(&out, fn(b));
+    return out;
+  });
+}
+
+DistributedExecutor::Parts DistributedExecutor::MapRows(
+    const Parts& in, size_t ncols,
+    const std::function<std::vector<Row>(std::vector<Row>)>& fn) const {
+  return PerWorker(in, [&](const std::vector<Batch>& batches, int) {
+    return BatchesFromRows(fn(RowsFromBatches(batches)), ncols,
+                           kDefaultBatchRows);
+  });
 }
 
 int DistributedExecutor::OwnerOf(const Value& v) const {
@@ -90,36 +141,45 @@ int DistributedExecutor::OwnerOf(const Value& v) const {
              : static_cast<int>(id % static_cast<VertexId>(workers_));
 }
 
-DistributedExecutor::Parts DistributedExecutor::ExchangeByKey(
-    Parts in, const std::vector<int>& key_idx) {
-  Parts out(static_cast<size_t>(workers_));
+DistributedExecutor::Parts DistributedExecutor::Exchange(
+    Parts in, const std::function<int(const Batch&, size_t)>& target) {
   stats_.exchanges++;
+  Parts out(static_cast<size_t>(workers_));
   for (int w = 0; w < workers_; ++w) {
-    for (auto& row : in[static_cast<size_t>(w)]) {
-      size_t h = 0x51ed;
-      for (int i : key_idx) {
-        h = HashCombine(h, row[static_cast<size_t>(i)].Hash());
+    for (Batch& b : in[static_cast<size_t>(w)]) {
+      b.Flatten();  // dense and flat: active row i is physical row i
+      for (size_t i = 0; i < b.size(); ++i) {
+        const int t = target(b, i);
+        if (t != w) stats_.comm_rows++;
+        // Each target gathers into one batch, in source-worker order.
+        std::vector<Batch>& dst = out[static_cast<size_t>(t)];
+        if (dst.empty()) dst.emplace_back(b.num_cols());
+        for (size_t c = 0; c < b.num_cols(); ++c) {
+          dst[0].col(c).push_back(std::move(b.col(c)[i]));
+        }
       }
-      int target = key_idx.empty() ? 0 : static_cast<int>(h % static_cast<size_t>(workers_));
-      if (target != w) stats_.comm_rows++;
-      out[static_cast<size_t>(target)].push_back(std::move(row));
     }
   }
   return out;
 }
 
+DistributedExecutor::Parts DistributedExecutor::ExchangeByKey(
+    Parts in, const std::vector<int>& key_idx) {
+  return Exchange(std::move(in), [&](const Batch& b, size_t i) {
+    if (key_idx.empty()) return 0;
+    size_t h = 0x51ed;
+    for (int k : key_idx) {
+      h = HashCombine(h, b.col(static_cast<size_t>(k))[i].Hash());
+    }
+    return static_cast<int>(h % static_cast<size_t>(workers_));
+  });
+}
+
 DistributedExecutor::Parts DistributedExecutor::ExchangeByVertex(Parts in,
                                                                  int idx) {
-  Parts out(static_cast<size_t>(workers_));
-  stats_.exchanges++;
-  for (int w = 0; w < workers_; ++w) {
-    for (auto& row : in[static_cast<size_t>(w)]) {
-      int target = OwnerOf(row[static_cast<size_t>(idx)]);
-      if (target != w) stats_.comm_rows++;
-      out[static_cast<size_t>(target)].push_back(std::move(row));
-    }
-  }
-  return out;
+  return Exchange(std::move(in), [&](const Batch& b, size_t i) {
+    return OwnerOf(b.col(static_cast<size_t>(idx))[i]);
+  });
 }
 
 const std::string& DistributedExecutor::ExpandSourceTag(const PhysOp& op) {
@@ -162,27 +222,32 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
   if (it != memo_.end()) return it->second;
 
   // Operator-boundary cancellation check: every dataflow step of the
-  // simulator starts on the control thread, so checking here (never inside
-  // the per-partition worker threads, which must not throw) bounds the
+  // simulator starts on the control thread, so checking here bounds the
   // overrun to one operator.
   cancel_.Check();
 
   // The vertex tag this node's output is ownership-partitioned by
   // (sharded mode only; "" = none).
   std::string out_tag;
+  const size_t ncols = op->out_cols.size();
   auto result = std::make_shared<Parts>(static_cast<size_t>(workers_));
   switch (op->kind) {
     case PhysOpKind::kScanVertices: {
       // Each worker scans its own vertex partition — no communication.
-      // Sharded: the partition's owned vertex lists; legacy: id % W.
-      std::vector<std::thread> threads;
-      for (int w = 0; w < workers_; ++w) {
-        threads.emplace_back([&, w] {
-          (*result)[static_cast<size_t>(w)] =
-              pg_ ? k_.ScanPartition(*op, w) : k_.Scan(*op, w, workers_);
-        });
-      }
-      for (auto& t : threads) t.join();
+      // Sharded: the partition's owned vertex lists; legacy: id % W. One
+      // whole-domain morsel per vertex type visits types in constraint
+      // order, ids ascending within.
+      const std::vector<ScanMorsel> morsels =
+          k_.ScanMorsels(*op, ~static_cast<size_t>(0));
+      size_t domain = 0;
+      for (const ScanMorsel& m : morsels) domain += m.end - m.begin;
+      ForEachWorker(domain, [&](int w) {
+        for (const ScanMorsel& m : morsels) {
+          if (pg_ != nullptr && m.partition != w) continue;
+          PushNonEmpty(&(*result)[static_cast<size_t>(w)],
+                       k_.ScanBatch(*op, m, w, workers_));
+        }
+      });
       out_tag = op->alias;
       break;
     }
@@ -193,7 +258,9 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
       // it to the expansion source's owners like any unaligned stream.
       const std::vector<Row>& rows = *op->cached_rows;
       for (size_t i = 0; i < rows.size(); ++i) {
-        (*result)[i % static_cast<size_t>(workers_)].push_back(rows[i]);
+        std::vector<Batch>& dst = (*result)[i % static_cast<size_t>(workers_)];
+        if (dst.empty()) dst.emplace_back(ncols);
+        dst[0].AppendRow(rows[i]);
       }
       break;
     }
@@ -202,14 +269,14 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
     case PhysOpKind::kPathExpand: {
       auto in = Run(op->children[0]);
       auto apply = [&](const Parts& src) {
-        return ParallelApply(src, [&](const std::vector<Row>& rows) {
+        return MapBatches(src, [&](const Batch& b) {
           switch (op->kind) {
             case PhysOpKind::kExpandEdge:
-              return k_.ExpandEdge(*op, rows);
+              return k_.ExpandEdgeBatch(*op, b);
             case PhysOpKind::kExpandIntersect:
-              return k_.ExpandIntersect(*op, rows);
+              return k_.ExpandIntersectBatch(*op, b);
             default:
-              return k_.PathExpand(*op, rows);
+              return k_.PathExpandBatch(*op, b);
           }
         });
       };
@@ -235,16 +302,18 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
     }
     case PhysOpKind::kSelect: {
       auto in = Run(op->children[0]);
-      *result = ParallelApply(
-          *in, [&](const std::vector<Row>& rows) { return k_.Filter(*op, rows); });
+      // The input may be shared with other parents: gather the survivors
+      // out instead of refining its selection in place.
+      *result = MapBatches(*in, [&](const Batch& b) {
+        return b.GatherPhys(k_.FilterSelection(*op, b));
+      });
       out_tag = owner_tag_[op->children[0].get()];
       break;
     }
     case PhysOpKind::kProject: {
       auto in = Run(op->children[0]);
-      *result = ParallelApply(*in, [&](const std::vector<Row>& rows) {
-        return k_.Project(*op, rows);
-      });
+      *result = MapBatches(
+          *in, [&](const Batch& b) { return k_.ProjectBatch(*op, b); });
       // Partitioning survives only if the partitioning column passes
       // through under its own name.
       const std::string& have = owner_tag_[op->children[0].get()];
@@ -255,62 +324,48 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
     }
     case PhysOpKind::kUnfold: {
       auto in = Run(op->children[0]);
-      *result = ParallelApply(*in, [&](const std::vector<Row>& rows) {
-        return k_.Unfold(*op, rows);
-      });
+      *result = MapBatches(
+          *in, [&](const Batch& b) { return k_.UnfoldBatch(*op, b); });
       const std::string& have = owner_tag_[op->children[0].get()];
       if (have != op->unfold_alias) out_tag = have;
       break;
     }
     case PhysOpKind::kAggregate: {
       auto in = Run(op->children[0]);
+      // A full or local (GroupLocal) aggregation of each worker's batches.
+      auto aggregate = [&](const Parts& src) {
+        return PerWorker(src, [&](const std::vector<Batch>& batches, int) {
+          return BatchesFromRows(k_.AggregateBatchRows(*op, batches), ncols,
+                                 kDefaultBatchRows);
+        });
+      };
       if (SupportsPartialAgg(*op)) {
         // GroupLocal on each worker, exchange partials by key, GroupGlobal.
-        Parts partial = ParallelApply(*in, [&](const std::vector<Row>& rows) {
-          return k_.Aggregate(*op, rows, /*combine=*/false);
-        });
-        std::vector<int> key_idx;
-        for (size_t i = 0; i < op->group_keys.size(); ++i) {
-          key_idx.push_back(static_cast<int>(i));
-        }
-        Parts exchanged = ExchangeByKey(std::move(partial), key_idx);
-        *result = ParallelApply(exchanged, [&](const std::vector<Row>& rows) {
+        Parts partial = ExchangeByKey(aggregate(*in),
+                                      AllColumns(op->group_keys.size()));
+        *result = MapRows(partial, ncols, [&](std::vector<Row> rows) {
           return k_.Aggregate(*op, rows, /*combine=*/true);
         });
-        // A keyless aggregate produces its single row on worker 0 only;
-        // other workers' combine over empty input must not emit defaults.
-        if (op->group_keys.empty()) {
-          for (int w = 1; w < workers_; ++w) {
-            (*result)[static_cast<size_t>(w)].clear();
-          }
-        }
       } else {
         // Raw-row exchange by group key hash, then full local aggregation.
-        const auto& ccols = op->children[0]->out_cols;
-        ColMap cmap = MakeColMap(ccols);
-        // Materialize key columns to hash on: append them temporarily.
-        Parts keyed(static_cast<size_t>(workers_));
-        stats_.exchanges++;
-        for (int w = 0; w < workers_; ++w) {
-          for (auto& row : (*in)[static_cast<size_t>(w)]) {
-            size_t h = 0x9d;
-            for (const auto& k : op->group_keys) {
-              h = HashCombine(h, k_.eval().Eval(*k.expr, row, cmap).Hash());
-            }
-            int target = op->group_keys.empty()
-                             ? 0
-                             : static_cast<int>(h % static_cast<size_t>(workers_));
-            if (target != w) stats_.comm_rows++;
-            keyed[static_cast<size_t>(target)].push_back(row);
+        ColMap cmap = MakeColMap(op->children[0]->out_cols);
+        Row row;
+        *result = aggregate(Exchange(*in, [&](const Batch& b, size_t i) {
+          if (op->group_keys.empty()) return 0;
+          b.GatherRow(i, &row);
+          size_t h = 0x9d;
+          for (const auto& k : op->group_keys) {
+            h = HashCombine(h, k_.eval().Eval(*k.expr, row, cmap).Hash());
           }
-        }
-        *result = ParallelApply(keyed, [&](const std::vector<Row>& rows) {
-          return k_.Aggregate(*op, rows, /*combine=*/false);
-        });
-        if (op->group_keys.empty()) {
-          for (int w = 1; w < workers_; ++w) {
-            (*result)[static_cast<size_t>(w)].clear();
-          }
+          return static_cast<int>(h % static_cast<size_t>(workers_));
+        }));
+      }
+      // A keyless aggregate produces its single row on worker 0 only;
+      // other workers' aggregation over empty input must not emit
+      // defaults.
+      if (op->group_keys.empty()) {
+        for (int w = 1; w < workers_; ++w) {
+          (*result)[static_cast<size_t>(w)].clear();
         }
       }
       break;
@@ -325,16 +380,17 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
       }
       Parts le = ExchangeByKey(*l, lkey);
       Parts re = ExchangeByKey(*r, rkey);
-      Parts out(static_cast<size_t>(workers_));
-      std::vector<std::thread> threads;
-      for (int w = 0; w < workers_; ++w) {
-        threads.emplace_back([&, w] {
-          out[static_cast<size_t>(w)] =
-              k_.Join(*op, le[static_cast<size_t>(w)], re[static_cast<size_t>(w)]);
-        });
-      }
-      for (auto& t : threads) t.join();
-      *result = std::move(out);
+      // Each worker builds from its share of the right side and probes
+      // its share of the left.
+      *result = PerWorker(le, [&](const std::vector<Batch>& probe, int w) {
+        const JoinHashTable ht =
+            k_.BuildJoinTable(*op, re[static_cast<size_t>(w)]);
+        std::vector<Batch> out;
+        for (const Batch& b : probe) {
+          PushNonEmpty(&out, k_.JoinProbeBatch(*op, b, ht));
+        }
+        return out;
+      });
       break;
     }
     case PhysOpKind::kDedup: {
@@ -342,15 +398,12 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
       const auto& ccols = op->children[0]->out_cols;
       std::vector<int> key_idx;
       if (op->dedup_tags.empty()) {
-        for (size_t i = 0; i < ccols.size(); ++i) {
-          key_idx.push_back(static_cast<int>(i));
-        }
+        key_idx = AllColumns(ccols.size());
       } else {
         for (const auto& t : op->dedup_tags) key_idx.push_back(IndexOf(ccols, t));
       }
-      Parts ex = ExchangeByKey(*in, key_idx);
-      *result = ParallelApply(
-          ex, [&](const std::vector<Row>& rows) { return k_.Dedup(*op, rows); });
+      *result = MapRows(ExchangeByKey(*in, key_idx), ncols,
+                        [&](std::vector<Row> rows) { return k_.Dedup(*op, rows); });
       break;
     }
     case PhysOpKind::kOrder: {
@@ -359,47 +412,45 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
       // communication like any exchange), then k-way merge them there —
       // output-identical to re-sorting the concatenation, without the
       // O(N log N) re-sort of already-sorted runs.
-      Parts local = ParallelApply(*in, [&](const std::vector<Row>& rows) {
-        return k_.SortLimit(*op, rows);
+      std::vector<std::vector<Row>> local(static_cast<size_t>(workers_));
+      ForEachWorker(TotalRows(*in), [&](int w) {
+        local[static_cast<size_t>(w)] = k_.SortLimit(
+            *op, RowsFromBatches((*in)[static_cast<size_t>(w)]));
       });
       stats_.exchanges++;
       for (int w = 1; w < workers_; ++w) {
         stats_.comm_rows += local[static_cast<size_t>(w)].size();
       }
-      (*result)[0] = k_.MergeSortedLimit(*op, std::move(local));
+      (*result)[0] = BatchesFromRows(k_.MergeSortedLimit(*op, std::move(local)),
+                                     ncols, kDefaultBatchRows);
       break;
     }
     case PhysOpKind::kLimit: {
       auto in = Run(op->children[0]);
-      Parts gathered = ExchangeByKey(*in, {});
-      auto& rows = gathered[0];
-      size_t n = std::min(rows.size(), static_cast<size_t>(op->limit));
-      rows.resize(n);
-      (*result)[0] = std::move(rows);
+      std::vector<Row> rows = RowsFromBatches(ExchangeByKey(*in, {})[0]);
+      rows.resize(std::min(rows.size(), static_cast<size_t>(op->limit)));
+      (*result)[0] = BatchesFromRows(rows, ncols, kDefaultBatchRows);
       break;
     }
     case PhysOpKind::kUnion: {
       auto l = Run(op->children[0]);
       auto r = Run(op->children[1]);
       for (int w = 0; w < workers_; ++w) {
-        (*result)[static_cast<size_t>(w)] = (*l)[static_cast<size_t>(w)];
-        auto mapped = k_.MapColumns((*r)[static_cast<size_t>(w)],
-                                    op->children[1]->out_cols, op->out_cols);
-        for (auto& row : mapped) {
-          (*result)[static_cast<size_t>(w)].push_back(std::move(row));
+        std::vector<Batch>& dst = (*result)[static_cast<size_t>(w)];
+        dst = (*l)[static_cast<size_t>(w)];
+        for (Batch& b : BatchesFromRows(
+                 k_.MapColumns(RowsFromBatches((*r)[static_cast<size_t>(w)]),
+                               op->children[1]->out_cols, op->out_cols),
+                 ncols, kDefaultBatchRows)) {
+          dst.push_back(std::move(b));
         }
       }
       if (op->union_distinct) {
-        std::vector<int> key_idx;
-        for (size_t i = 0; i < op->out_cols.size(); ++i) {
-          key_idx.push_back(static_cast<int>(i));
-        }
-        Parts ex = ExchangeByKey(std::move(*result), key_idx);
         PhysOp dd(PhysOpKind::kDedup);
         dd.children = {op};
-        *result = ParallelApply(ex, [&](const std::vector<Row>& rows) {
-          return k_.Dedup(dd, rows);
-        });
+        *result = MapRows(ExchangeByKey(std::move(*result), AllColumns(ncols)),
+                          ncols,
+                          [&](std::vector<Row> rows) { return k_.Dedup(dd, rows); });
       }
       break;
     }
@@ -409,10 +460,11 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
   // are not emissions) — the definition all runtimes share; see ExecStats.
   uint64_t emitted = 0;
   for (size_t w = 0; w < result->size(); ++w) {
-    emitted += (*result)[w].size();
-    stats_.rows_produced += (*result)[w].size();
-    if (pg_ != nullptr) stats_.partition_rows[w] += (*result)[w].size();
+    const size_t rows = TotalBatchRows((*result)[w]);
+    emitted += rows;
+    if (pg_ != nullptr) stats_.partition_rows[w] += rows;
   }
+  stats_.rows_produced += emitted;
   // Charge this operator's emissions against the row budget; the next
   // operator's Check observes a trip.
   cancel_.AddRows(emitted);

@@ -77,24 +77,44 @@ class DistributedExecutor {
   void set_cancel(CancelToken cancel) { cancel_ = std::move(cancel); }
 
  private:
-  /// A distributed table: one row vector per worker.
-  using Parts = std::vector<std::vector<Row>>;
+  /// A distributed table: the batches each worker holds, in order. Every
+  /// streaming operator runs the batch kernels of the morsel runtime on
+  /// each batch; exchanges and the row-only breakers (dedup, sort, limit,
+  /// union, aggregate combine) convert at their boundary.
+  using Parts = std::vector<std::vector<Batch>>;
   using PartsPtr = std::shared_ptr<Parts>;
 
   PartsPtr Run(const PhysOpPtr& op);
 
-  /// Re-partitions rows by a hash of the given column indices (empty:
-  /// everything to worker 0); counts moved rows as communication.
+  /// Re-partitions the active rows of every batch: a row held by worker w
+  /// moves to worker `target(batch, row)`, keeping source-worker order;
+  /// counts moved rows as communication.
+  Parts Exchange(Parts in,
+                 const std::function<int(const Batch&, size_t)>& target);
+  /// Re-partitions by a hash of the given column indices (empty:
+  /// everything to worker 0).
   Parts ExchangeByKey(Parts in, const std::vector<int>& key_idx);
   /// Re-partitions by owner of the vertex in column `idx` — the store's
   /// ownership map when sharded, `id % W` in legacy mode.
   Parts ExchangeByVertex(Parts in, int idx);
   /// Owner worker of a row value holding a vertex.
   int OwnerOf(const Value& v) const;
-  /// Applies `fn(worker_partition)` across workers in parallel.
-  Parts ParallelApply(const Parts& in,
-                      std::function<std::vector<Row>(const std::vector<Row>&)>
-                          fn) const;
+  /// Runs `fn(w)` for every worker: inline when the step reads fewer than
+  /// 2048 rows, else one thread per worker. The first exception a worker
+  /// throws is rethrown here after every worker has joined.
+  void ForEachWorker(size_t rows, const std::function<void(int)>& fn) const;
+  /// Replaces each worker's batches by `fn(batches, worker)`.
+  Parts PerWorker(const Parts& in,
+                  const std::function<std::vector<Batch>(
+                      const std::vector<Batch>&, int)>& fn) const;
+  /// Applies a batch kernel to every batch (empty outputs are dropped).
+  Parts MapBatches(const Parts& in,
+                   const std::function<Batch(const Batch&)>& fn) const;
+  /// Applies a row breaker kernel to each worker's rows; `ncols` is the
+  /// output row width.
+  Parts MapRows(const Parts& in, size_t ncols,
+                const std::function<std::vector<Row>(std::vector<Row>)>& fn)
+      const;
 
   /// Sharded mode: the vertex tag an expansion reads adjacency from (the
   /// column its input must be partitioned by); empty when none.

@@ -288,25 +288,6 @@ Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker,
   return out;
 }
 
-std::vector<Row> Kernels::ScanPartition(const PhysOp& op, int partition) const {
-  std::vector<Row> out;
-  for (const ScanMorsel& m : ScanMorsels(op, ~static_cast<size_t>(0))) {
-    if (m.partition != partition) continue;
-    ScanBatch(op, m).AppendRowsTo(&out);
-  }
-  return out;
-}
-
-std::vector<Row> Kernels::Scan(const PhysOp& op, int worker, int W) const {
-  // One whole-domain morsel per type keeps the visit order of the
-  // pre-batch scan (types in constraint order, ids ascending within).
-  std::vector<Row> out;
-  for (const ScanMorsel& m : ScanMorsels(op, ~static_cast<size_t>(0))) {
-    ScanBatch(op, m, worker, W).AppendRowsTo(&out);
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // ExpandEdge (flattened expansion / ExpandInto edge check)
 // ---------------------------------------------------------------------------
@@ -417,12 +398,6 @@ Batch Kernels::ExpandEdgeBatch(const PhysOp& op, const Batch& in,
     close_row();
   }
   return out;
-}
-
-std::vector<Row> Kernels::ExpandEdge(const PhysOp& op,
-                                     const std::vector<Row>& in) const {
-  return ExpandEdgeBatch(op, Batch::FromRows(in, op.children[0]->out_cols.size()))
-      .ToRows();
 }
 
 // ---------------------------------------------------------------------------
@@ -649,13 +624,6 @@ Batch Kernels::ExpandIntersectBatch(const PhysOp& op, const Batch& in,
   return out;
 }
 
-std::vector<Row> Kernels::ExpandIntersect(const PhysOp& op,
-                                          const std::vector<Row>& in) const {
-  return ExpandIntersectBatch(
-             op, Batch::FromRows(in, op.children[0]->out_cols.size()))
-      .ToRows();
-}
-
 // ---------------------------------------------------------------------------
 // PathExpand
 // ---------------------------------------------------------------------------
@@ -756,13 +724,6 @@ Batch Kernels::PathExpandBatch(const PhysOp& op, const Batch& in,
   return out;
 }
 
-std::vector<Row> Kernels::PathExpand(const PhysOp& op,
-                                     const std::vector<Row>& in) const {
-  return PathExpandBatch(op,
-                         Batch::FromRows(in, op.children[0]->out_cols.size()))
-      .ToRows();
-}
-
 // ---------------------------------------------------------------------------
 // Filter / Project / Unfold
 // ---------------------------------------------------------------------------
@@ -845,19 +806,6 @@ std::vector<uint32_t> Kernels::FilterSelection(const PhysOp& op,
 
 void Kernels::FilterBatch(const PhysOp& op, Batch* in) const {
   in->SetSelection(FilterSelection(op, *in));
-}
-
-std::vector<Row> Kernels::Filter(const PhysOp& op,
-                                 const std::vector<Row>& in) const {
-  // Row-native fast path (not a batch adapter): a filter over rows needs
-  // no materialization at all, while the batch boundary would copy every
-  // input row just to drop most of them.
-  ColMap cmap = MakeColMap(op.children[0]->out_cols);
-  std::vector<Row> out;
-  for (const Row& r : in) {
-    if (eval_.EvalBool(op.predicate, r, cmap)) out.push_back(r);
-  }
-  return out;
 }
 
 Batch Kernels::ProjectBatch(const PhysOp& op, const Batch& in) const {
@@ -958,24 +906,6 @@ Batch Kernels::ProjectBatch(const PhysOp& op, const Batch& in) const {
   return out;
 }
 
-std::vector<Row> Kernels::Project(const PhysOp& op,
-                                  const std::vector<Row>& in) const {
-  // Row-native fast path: projection emits one output row per input row,
-  // so the batch boundary would only add two materializations.
-  ColMap cmap = MakeColMap(op.children[0]->out_cols);
-  std::vector<Row> out;
-  out.reserve(in.size());
-  for (const Row& r : in) {
-    Row nr;
-    if (op.append) nr = r;
-    for (const auto& item : op.items) {
-      nr.push_back(eval_.Eval(*item.expr, r, cmap));
-    }
-    out.push_back(std::move(nr));
-  }
-  return out;
-}
-
 Batch Kernels::UnfoldBatch(const PhysOp& op, const Batch& in,
                            bool factorize) const {
   ColMap cmap = MakeColMap(op.children[0]->out_cols);
@@ -1011,12 +941,6 @@ Batch Kernels::UnfoldBatch(const PhysOp& op, const Batch& in,
     }
   }
   return out;
-}
-
-std::vector<Row> Kernels::Unfold(const PhysOp& op,
-                                 const std::vector<Row>& in) const {
-  return UnfoldBatch(op, Batch::FromRows(in, op.children[0]->out_cols.size()))
-      .ToRows();
 }
 
 // ---------------------------------------------------------------------------
@@ -1550,23 +1474,6 @@ Batch Kernels::JoinProbeBatch(const PhysOp& op, const Batch& left,
     if (fact) out.CloseGroup(run);
   }
   return out;
-}
-
-std::vector<Row> Kernels::Join(const PhysOp& op, const std::vector<Row>& left,
-                               const std::vector<Row>& right) const {
-  // Row adapter: the same table, filled from the rows directly; the probe
-  // side converts at the boundary.
-  std::vector<int> rkey, rappend;
-  JoinHashTable ht =
-      NewJoinTable(op, /*lazy=*/false, right.size(), &rkey, &rappend);
-  for (const Row& r : right) {
-    AppendBuildRow(&ht, rkey, rappend,
-                   [&](size_t c) -> const Value& { return r[c]; });
-  }
-  IndexJoinTable(&ht, right.size());
-  return JoinProbeBatch(
-             op, Batch::FromRows(left, op.children[0]->out_cols.size()), ht)
-      .ToRows();
 }
 
 // ---------------------------------------------------------------------------

@@ -55,18 +55,13 @@ struct JoinHashTable {
 };
 
 /// Operator kernels shared by every runtime. The streaming kernels (scan,
-/// expansions, filter, project, unfold, join probe) are batch-native —
-/// they consume and produce columnar Batches, filters refining the
-/// selection vector in place — and are what the morsel-driven runtime
-/// (src/exec/morsel.cc) schedules. The row-vector entry points used by
-/// the distributed executor share the same semantics: most are lossless
-/// adapters over the batch kernels (converting at the boundary, one extra
-/// value copy each way), while the two where that boundary would
-/// dominate — Filter and Project — keep trivially equivalent row-native
-/// bodies. The join build reads batches directly. The other blocking
-/// kernels (aggregate, sort/limit, dedup, union) materialize by nature and
-/// stay row-based; both runtimes call them on materialized rows at
-/// pipeline breakers.
+/// expansions, filter, project, unfold, join build and probe) are
+/// batch-native — they consume and produce columnar Batches, filters
+/// refining the selection vector in place — and both the morsel runtime
+/// (src/exec/morsel.cc) and the distributed executor
+/// (src/exec/dist_executor.cc) schedule them. The blocking kernels (sort,
+/// dedup, union, aggregate combine) materialize by nature and take rows;
+/// both runtimes convert at those breakers.
 class Kernels {
  public:
   /// `pstore` (optional) attaches a sharded store. All graph reads are
@@ -177,25 +172,6 @@ class Kernels {
   /// occurrence).
   std::vector<Row> AggregateBatchRows(const PhysOp& op,
                                       const std::vector<Batch>& in) const;
-
-  // ---- row-vector adapters (distributed executor) ----
-
-  /// Whole-domain vertex scan; with W > 1 only vertices owned by `worker`.
-  std::vector<Row> Scan(const PhysOp& op, int worker = 0, int W = 1) const;
-  /// One partition's share of the scan domain, read from the attached
-  /// sharded store's per-partition vertex lists (requires a pstore).
-  std::vector<Row> ScanPartition(const PhysOp& op, int partition) const;
-
-  std::vector<Row> ExpandEdge(const PhysOp& op, const std::vector<Row>& in) const;
-  std::vector<Row> ExpandIntersect(const PhysOp& op,
-                                   const std::vector<Row>& in) const;
-  std::vector<Row> PathExpand(const PhysOp& op, const std::vector<Row>& in) const;
-  std::vector<Row> Filter(const PhysOp& op, const std::vector<Row>& in) const;
-  std::vector<Row> Project(const PhysOp& op, const std::vector<Row>& in) const;
-  std::vector<Row> Unfold(const PhysOp& op, const std::vector<Row>& in) const;
-
-  std::vector<Row> Join(const PhysOp& op, const std::vector<Row>& left,
-                        const std::vector<Row>& right) const;
 
   /// Union splice: appends `right` (column-mapped into the union layout)
   /// to `left`, deduplicating when `op.union_distinct`. The morsel

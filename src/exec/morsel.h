@@ -78,8 +78,8 @@ class MorselQueue {
 /// before any order-sensitive sink runs) and per-worker ExecStats are
 /// merged after every pipeline. It is the engine's single-machine runtime
 /// at every EngineOptions::exec_threads; differential tests
-/// (tests/batch_exec_test.cc) hold it equal to the distributed executor's
-/// row kernels on every bundled workload.
+/// (tests/batch_exec_test.cc) hold it equal to the distributed executor
+/// on every bundled workload.
 ///
 /// It implements the full operator repertoire, including ExpandIntersect.
 /// A backend's narrower repertoire (the Neo4j-like backend has no

@@ -207,12 +207,8 @@ PhysOpPtr PhysicalConverter::ConvertPlanRec(const Pattern& full,
       }
       // Sequential expansion: the first edge incident to the new vertex
       // binds it; the rest (and pure closing steps) check adjacency.
-      std::vector<int> order = node->added_edges;
-      if (node->new_vertex >= 0) {
-        // All added edges touch the new vertex by construction; keep order.
-      }
       PhysOpPtr cur = in;
-      for (int eid : order) {
+      for (int eid : node->added_edges) {
         const PatternEdge& e = full.EdgeById(eid);
         cur = MakeEdgeStep(node->pattern, e, cur, needs_binding(e));
       }

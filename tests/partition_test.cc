@@ -426,6 +426,47 @@ TEST_F(PartitionTest, DistributedWorkCountsArePinned) {
   }
 }
 
+/// The message of the std::runtime_error `eng` throws on `q` ("" when it
+/// throws none).
+std::string RuntimeErrorOf(GOptEngine* eng, const std::string& q) {
+  try {
+    eng->Run(q);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(PartitionTest, WorkerExceptionsReachTheCaller) {
+  // A kernel error raised on a worker thread is rethrown on the calling
+  // thread after the workers join (it used to escape the thread and
+  // terminate the process). The scan query fails in the scan step; the
+  // 3-hop query in its aggregate step, whose input exceeds the 2048-row
+  // inline threshold, so it runs on worker threads.
+  LdbcGraph ldbc = GenerateLdbc(0.1, 42);
+  auto glogue = std::make_shared<const Glogue>(Glogue::Build(*ldbc.graph));
+  auto make = [&](BackendSpec spec, int partitions) {
+    EngineOptions opts;
+    opts.partitions = partitions;
+    auto e = std::make_unique<GOptEngine>(ldbc.graph.get(), spec, opts);
+    e->SetGlogue(glogue);
+    return e;
+  };
+  auto neo = make(BackendSpec::Neo4jLike(), 0);
+  for (const std::string q :
+       {"MATCH (p:Person) WHERE p.firstName - 1 > 0 RETURN COUNT(*)",
+        "MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person)"
+        "-[:KNOWS]->(h:Person) RETURN SUM(h.firstName - 1)"}) {
+    const std::string want = RuntimeErrorOf(neo.get(), q);
+    ASSERT_NE(want, "") << q;
+    for (int partitions : {0, 3}) {
+      auto dist = make(BackendSpec::GraphScopeLike(3), partitions);
+      EXPECT_EQ(RuntimeErrorOf(dist.get(), q), want)
+          << "partitions=" << partitions << ": " << q;
+    }
+  }
+}
+
 TEST_F(PartitionTest, CommRowsBecomeEdgeCutOnMultiHopChain) {
   // On the legacy simulated store every expansion re-hashes its output;
   // on the sharded store the exchange is lazy (rows move only when a
