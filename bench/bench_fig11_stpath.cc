@@ -146,7 +146,8 @@ int main() {
       plans[match.get()] = SplitPlan(match->pattern, split, opt);
       PhysicalConverter conv(&g.schema());
       auto phys = conv.Convert(logical, plans);
-      DistributedExecutor ex(&g, 4);
+      auto store = PartitionedGraph::Build(&g, PartitionPolicy::kHash, 4);
+      DistributedExecutor ex(*store);
       std::vector<double> ms;
       for (int i = 0; i < repeats; ++i) {
         auto t0 = std::chrono::steady_clock::now();

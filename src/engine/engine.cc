@@ -33,6 +33,12 @@ GOptEngine::GOptEngine(const PropertyGraph* g, BackendSpec backend,
                     : opts.result_cache_bytes > 0
                         ? std::make_shared<ResultCache>(opts.result_cache_bytes)
                         : nullptr) {
+  // The distributed backend always runs on a sharded store, one partition
+  // per worker unless `partitions` asks otherwise. Resolved here, once, so
+  // the options fingerprint and every later read see the effective count.
+  if (backend_.distributed && opts_.partitions <= 0) {
+    opts_.partitions = std::max(1, backend_.num_workers);
+  }
   if (opts_.partitions > 0) {
     PartitionerOptions popts;
     popts.refine_sweeps = opts_.partition_refine_sweeps;
@@ -359,10 +365,8 @@ ResultTable GOptEngine::RunPhysical(const PhysOpPtr& root,
   // out from under the executor).
   const PartitionedGraph* pstore = store ? store->store.get() : nullptr;
   if (backend_.distributed) {
-    // With a sharded store the executor runs one worker per partition
-    // (ownership-map exchanges); otherwise the legacy per-operator
-    // simulated partitioning over backend_.num_workers.
-    DistributedExecutor ex(g_, backend_.num_workers, pstore);
+    // One worker per store partition (the constructor built the store).
+    DistributedExecutor ex(*pstore);
     ex.set_params(&bound);
     ex.set_vectorize(opts_.vectorize);
     ex.set_cancel(cancel);

@@ -132,12 +132,12 @@ struct BatchQuery {
 /// configured backend: GraphScope-like distributed, or single-machine on
 /// the morsel-driven batch runtime with EngineOptions::exec_threads
 /// workers (inline on the calling thread at 1; see docs/executor.md).
-/// With EngineOptions::partitions > 0 the engine shards its graph into a
-/// PartitionedGraph at construction (docs/storage.md): the distributed
-/// backend then runs one worker per partition with ownership-map
-/// exchanges, the single-machine runtime splits scans into
-/// partition-granular morsels, and the CBO prices communication with the
-/// store's measured edge-cut.
+/// With EngineOptions::partitions > 0, and always on a distributed
+/// backend, the engine shards its graph into a PartitionedGraph at
+/// construction (docs/storage.md): the distributed backend runs one worker
+/// per partition with ownership-map exchanges, the single-machine runtime
+/// splits scans into partition-granular morsels, and the CBO prices
+/// communication with the store's measured edge-cut.
 ///
 /// Prepared plans are a prepared-statement subsystem, not just a memoizer:
 /// Prepare first auto-parameterizes the query (constant tokens become $__pN

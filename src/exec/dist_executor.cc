@@ -58,13 +58,11 @@ ResultTable DistributedExecutor::Execute(const PhysOpPtr& root) {
   owner_tag_.clear();
   consumers_.clear();
   stats_ = ExecStats{};
-  if (pg_ != nullptr) {
-    stats_.partitions = workers_;
-    stats_.store_cut_edges = pg_->total_cut_edges();
-    stats_.store_vertex_balance = pg_->VertexBalance();
-    stats_.partition_rows.assign(static_cast<size_t>(workers_), 0);
-    CountConsumers(root, &consumers_);
-  }
+  stats_.partitions = workers_;
+  stats_.store_cut_edges = pg_.total_cut_edges();
+  stats_.store_vertex_balance = pg_.VertexBalance();
+  stats_.partition_rows.assign(static_cast<size_t>(workers_), 0);
+  CountConsumers(root, &consumers_);
   PartsPtr parts = Run(root);
   // Fresh executor per Execute, so the kernel dispatch counters started at
   // zero: the final values are this run's totals.
@@ -135,10 +133,7 @@ DistributedExecutor::Parts DistributedExecutor::MapRows(
 }
 
 int DistributedExecutor::OwnerOf(const Value& v) const {
-  if (v.kind() != Value::Kind::kVertex) return 0;
-  const VertexId id = v.AsVertex().id;
-  return pg_ ? pg_->OwnerOf(id)
-             : static_cast<int>(id % static_cast<VertexId>(workers_));
+  return v.kind() == Value::Kind::kVertex ? pg_.OwnerOf(v.AsVertex().id) : 0;
 }
 
 DistributedExecutor::Parts DistributedExecutor::Exchange(
@@ -226,26 +221,25 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
   // overrun to one operator.
   cancel_.Check();
 
-  // The vertex tag this node's output is ownership-partitioned by
-  // (sharded mode only; "" = none).
+  // The vertex tag this node's output is ownership-partitioned by ("" =
+  // none).
   std::string out_tag;
   const size_t ncols = op->out_cols.size();
   auto result = std::make_shared<Parts>(static_cast<size_t>(workers_));
   switch (op->kind) {
     case PhysOpKind::kScanVertices: {
-      // Each worker scans its own vertex partition — no communication.
-      // Sharded: the partition's owned vertex lists; legacy: id % W. One
-      // whole-domain morsel per vertex type visits types in constraint
-      // order, ids ascending within.
+      // Each worker scans the vertex lists its partition owns — no
+      // communication. One whole-domain morsel per (partition, vertex
+      // type) visits types in constraint order, ids ascending within.
       const std::vector<ScanMorsel> morsels =
           k_.ScanMorsels(*op, ~static_cast<size_t>(0));
       size_t domain = 0;
       for (const ScanMorsel& m : morsels) domain += m.end - m.begin;
       ForEachWorker(domain, [&](int w) {
         for (const ScanMorsel& m : morsels) {
-          if (pg_ != nullptr && m.partition != w) continue;
+          if (m.partition != w) continue;
           PushNonEmpty(&(*result)[static_cast<size_t>(w)],
-                       k_.ScanBatch(*op, m, w, workers_));
+                       k_.ScanBatch(*op, m));
         }
       });
       out_tag = op->alias;
@@ -268,36 +262,23 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
     case PhysOpKind::kExpandIntersect:
     case PhysOpKind::kPathExpand: {
       auto in = Run(op->children[0]);
-      auto apply = [&](const Parts& src) {
-        return MapBatches(src, [&](const Batch& b) {
-          switch (op->kind) {
-            case PhysOpKind::kExpandEdge:
-              return k_.ExpandEdgeBatch(*op, b);
-            case PhysOpKind::kExpandIntersect:
-              return k_.ExpandIntersectBatch(*op, b);
-            default:
-              return k_.PathExpandBatch(*op, b);
-          }
-        });
-      };
-      if (pg_ != nullptr) {
-        // Lazy exchange: co-locate the input with the expansion source's
-        // owner (a no-op when the stream already is), then expand in
-        // place. The output stays partitioned by the source tag — the
-        // newly bound vertex ships only if a later operator expands from
-        // it, so a chain's final expansion moves no rows at all.
-        Parts staged;
-        const Parts* src = StageForExpansion(*op, in, &staged, &out_tag);
-        *result = apply(*src);
-      } else {
-        *result = apply(*in);
-        // Legacy eager placement: rows migrate to the owner of the newly
-        // bound vertex.
-        if (!op->target_bound) {
-          int idx = IndexOf(op->out_cols, op->alias);
-          if (idx >= 0) *result = ExchangeByVertex(std::move(*result), idx);
+      // Lazy exchange: co-locate the input with the expansion source's
+      // owner (a no-op when the stream already is), then expand in place.
+      // The output stays partitioned by the source tag — the newly bound
+      // vertex ships only if a later operator expands from it, so a
+      // chain's final expansion moves no rows at all.
+      Parts staged;
+      const Parts* src = StageForExpansion(*op, in, &staged, &out_tag);
+      *result = MapBatches(*src, [&](const Batch& b) {
+        switch (op->kind) {
+          case PhysOpKind::kExpandEdge:
+            return k_.ExpandEdgeBatch(*op, b);
+          case PhysOpKind::kExpandIntersect:
+            return k_.ExpandIntersectBatch(*op, b);
+          default:
+            return k_.PathExpandBatch(*op, b);
         }
-      }
+      });
       break;
     }
     case PhysOpKind::kSelect: {
@@ -462,14 +443,14 @@ DistributedExecutor::PartsPtr DistributedExecutor::Run(const PhysOpPtr& op) {
   for (size_t w = 0; w < result->size(); ++w) {
     const size_t rows = TotalBatchRows((*result)[w]);
     emitted += rows;
-    if (pg_ != nullptr) stats_.partition_rows[w] += rows;
+    stats_.partition_rows[w] += rows;
   }
   stats_.rows_produced += emitted;
   // Charge this operator's emissions against the row budget; the next
   // operator's Check observes a trip.
   cancel_.AddRows(emitted);
   memo_[op.get()] = result;
-  if (pg_ != nullptr) owner_tag_[op.get()] = out_tag;
+  owner_tag_[op.get()] = out_tag;
   return result;
 }
 

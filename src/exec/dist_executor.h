@@ -14,30 +14,21 @@
 
 namespace gopt {
 
-/// The GraphScope-like backend runtime: a W-worker dataflow simulator.
+/// The GraphScope-like backend runtime: a dataflow simulator with one
+/// worker per partition of a sharded store (src/store/). Scans read each
+/// partition's owned vertex lists, exchange targets come from the store's
+/// ownership map, and exchange placement is *lazy*: a stream stays
+/// partitioned by the vertex column it was last distributed on, and rows
+/// move only when the next expansion reads adjacency of a
+/// differently-partitioned column. comm_rows is therefore an edge-cut
+/// metric: the final expansion of a chain (whose target no operator
+/// expands from) ships nothing.
 ///
-/// Two storage modes:
-///
-///  - **Sharded** (a PartitionedGraph is attached): one worker per store
-///    partition. Scans read each partition's owned vertex lists, exchange
-///    targets come from the store's ownership map, and exchange placement
-///    is *lazy*: a stream stays partitioned by the vertex column it was
-///    last distributed on, and rows move only when the next expansion
-///    reads adjacency of a differently-partitioned column. comm_rows is
-///    then a true edge-cut metric — the final expansion of a chain (whose
-///    target no operator expands from) ships nothing, unlike the legacy
-///    mode's unconditional post-expansion re-hash.
-///
-///  - **Legacy** (no store): vertices are hash-partitioned per operator
-///    (`id % W`), each expansion eagerly re-hashes its output to the new
-///    vertex's owner — the pre-sharding simulated partitioning, kept as
-///    the `partitions = 0` baseline.
-///
-/// In both modes joins, aggregates and dedups hash-exchange on their keys;
-/// ORDER does a local top-k then a k-way merge of the sorted per-worker
-/// lists at worker 0. Exchanged rows are counted in ExecStats::comm_rows,
-/// the quantity the paper's distributed cost model charges as
-/// communication cost.
+/// Joins, aggregates and dedups hash-exchange on their keys; ORDER does a
+/// local top-k then a k-way merge of the sorted per-worker lists at
+/// worker 0. Exchanged rows are counted in ExecStats::comm_rows, the
+/// quantity the paper's distributed cost model charges as communication
+/// cost.
 ///
 /// Implements ExpandIntersect (WCOJ-style vertex expansion) and two-phase
 /// aggregation (GroupLocal / GroupGlobal, Fig. 3(d) in the paper).
@@ -48,18 +39,13 @@ namespace gopt {
 /// per Execute, so engine-level Execute calls may run concurrently.
 class DistributedExecutor {
  public:
-  /// With `pg` attached, the worker count is the store's partition count
-  /// and `workers` is ignored; `pg` must outlive the executor.
-  DistributedExecutor(const PropertyGraph* g, int workers,
-                      const PartitionedGraph* pg = nullptr)
-      : k_(g, pg),
-        pg_(pg),
-        workers_(pg ? pg->num_partitions() : (workers < 1 ? 1 : workers)) {}
+  /// One worker per partition of `pg`, which must outlive the executor.
+  explicit DistributedExecutor(const PartitionedGraph& pg)
+      : k_(&pg.base(), &pg), pg_(pg), workers_(pg.num_partitions()) {}
 
   ResultTable Execute(const PhysOpPtr& root);
 
   const ExecStats& stats() const { return stats_; }
-  int workers() const { return workers_; }
 
   /// Parameter bindings for $name slots in the plan's expressions; must
   /// outlive Execute (the map is read concurrently by worker threads, which
@@ -94,8 +80,7 @@ class DistributedExecutor {
   /// Re-partitions by a hash of the given column indices (empty:
   /// everything to worker 0).
   Parts ExchangeByKey(Parts in, const std::vector<int>& key_idx);
-  /// Re-partitions by owner of the vertex in column `idx` — the store's
-  /// ownership map when sharded, `id % W` in legacy mode.
+  /// Re-partitions by the store's owner of the vertex in column `idx`.
   Parts ExchangeByVertex(Parts in, int idx);
   /// Owner worker of a row value holding a vertex.
   int OwnerOf(const Value& v) const;
@@ -116,14 +101,14 @@ class DistributedExecutor {
                 const std::function<std::vector<Row>(std::vector<Row>)>& fn)
       const;
 
-  /// Sharded mode: the vertex tag an expansion reads adjacency from (the
-  /// column its input must be partitioned by); empty when none.
+  /// The vertex tag an expansion reads adjacency from (the column its
+  /// input must be partitioned by); empty when none.
   static const std::string& ExpandSourceTag(const PhysOp& op);
-  /// Sharded mode: re-distributes `in` by owner of `tag` unless the
-  /// stream is already partitioned that way; returns the parts to expand
-  /// and records the stream's new partitioning tag in `cur_tag`. A
-  /// single-consumer child stream is drained in place; one shared by
-  /// several parents (DAG plans) is exchanged as a copy.
+  /// Re-distributes `in` by owner of `tag` unless the stream is already
+  /// partitioned that way; returns the parts to expand and records the
+  /// stream's new partitioning tag in `cur_tag`. A single-consumer child
+  /// stream is drained in place; one shared by several parents (DAG
+  /// plans) is exchanged as a copy.
   const Parts* StageForExpansion(const PhysOp& op, const PartsPtr& in,
                                  Parts* staged, std::string* cur_tag);
   /// Counts how many parent operators consume each node's output (DAG
@@ -132,17 +117,17 @@ class DistributedExecutor {
                              std::map<const PhysOp*, int>* consumers);
 
   Kernels k_;
-  const PartitionedGraph* pg_;
+  const PartitionedGraph& pg_;
   int workers_;
   CancelToken cancel_;
   ExecStats stats_;
   std::map<const PhysOp*, PartsPtr> memo_;
-  /// Sharded mode: the vertex tag each memoized stream is currently
-  /// ownership-partitioned by ("" = no meaningful partitioning, e.g.
-  /// after a key exchange or gather).
+  /// The vertex tag each memoized stream is currently ownership-
+  /// partitioned by ("" = no meaningful partitioning, e.g. after a key
+  /// exchange or gather).
   std::map<const PhysOp*, std::string> owner_tag_;
-  /// Sharded mode: parent count per node, so staging exchanges can drain
-  /// single-consumer streams instead of copying them.
+  /// Parent count per node, so staging exchanges can drain single-consumer
+  /// streams instead of copying them.
   std::map<const PhysOp*, int> consumers_;
 };
 

@@ -184,12 +184,24 @@ std::vector<ScanMorsel> Kernels::ScanMorsels(const PhysOp& op,
   return out;
 }
 
-Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker,
-                         int W) const {
+template <typename F>
+void Kernels::ForEachScanVertex(const ScanMorsel& m, F&& f) const {
+  if (m.partition >= 0) {
+    // Partition-local domain: the slice indexes one shard's owned list.
+    auto span = m.all ? pstore_->Vertices(m.partition)
+                      : pstore_->VerticesOfType(m.partition, m.type);
+    for (size_t i = m.begin; i < m.end; ++i) f(span[i]);
+  } else if (m.all) {
+    for (size_t i = m.begin; i < m.end; ++i) f(static_cast<VertexId>(i));
+  } else {
+    auto span = g_->VerticesOfType(m.type);
+    for (size_t i = m.begin; i < m.end; ++i) f(span[i]);
+  }
+}
+
+Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m) const {
   if (op.kind == PhysOpKind::kCachedScan) {
-    // Emit the morsel's slice of the cached rows verbatim. The legacy
-    // worker/W filter does not apply: the rows are a materialized stream
-    // (the distributed executor slices them round-robin itself). Counts as
+    // Emit the morsel's slice of the cached rows verbatim. Counts as
     // neither dispatch: there is no vectorized-vs-generic choice to make.
     Batch cached(op.out_cols.size());
     for (size_t c = 0; c < op.out_cols.size(); ++c) {
@@ -202,9 +214,6 @@ Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker,
   }
   Batch out(1);
   const size_t domain = m.end - m.begin;
-  // The id % W filter is the legacy simulated partitioning; partitioned
-  // morsels carry real ownership, so it must never drop their vertices.
-  const bool simulated = m.partition < 0 && W > 1;
 
   // Vectorized path: when every pushed predicate compiles (trivially when
   // there are none), collect the candidate ids, filter the id list through
@@ -215,8 +224,7 @@ Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker,
     bool compiled = true;
     for (const auto& p : op.vertex_preds) {
       auto cp = CompiledPredicate::Compile(*p, ColMap{{op.alias, 0}},
-                                           eval_.params(), g_,
-                                           /*allow_property=*/pstore_ == nullptr);
+                                           eval_.params(), g_);
       if (cp == nullptr) {
         compiled = false;
         break;
@@ -227,25 +235,7 @@ Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker,
       vec_dispatch_.fetch_add(1, std::memory_order_relaxed);
       std::vector<VertexId> vids;
       vids.reserve(domain);
-      auto push = [&](VertexId v) {
-        if (simulated &&
-            static_cast<int>(v % static_cast<VertexId>(W)) != worker) {
-          return;
-        }
-        vids.push_back(v);
-      };
-      if (m.partition >= 0) {
-        auto span = m.all ? pstore_->Vertices(m.partition)
-                          : pstore_->VerticesOfType(m.partition, m.type);
-        for (size_t i = m.begin; i < m.end; ++i) push(span[i]);
-      } else if (m.all) {
-        for (size_t i = m.begin; i < m.end; ++i) {
-          push(static_cast<VertexId>(i));
-        }
-      } else {
-        auto span = g_->VerticesOfType(m.type);
-        for (size_t i = m.begin; i < m.end; ++i) push(span[i]);
-      }
+      ForEachScanVertex(m, [&](VertexId v) { vids.push_back(v); });
       // Applying the predicates list-at-a-time (instead of all predicates
       // per vertex) selects the same final set: predicates have no side
       // effects and AND commutes with filtering.
@@ -259,32 +249,13 @@ Batch Kernels::ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker,
   out.col(0).reserve(domain);
   ColMap self{{op.alias, 0}};
   Row row(1);
-  auto try_vertex = [&](VertexId v) {
-    if (simulated &&
-        static_cast<int>(v % static_cast<VertexId>(W)) != worker) {
-      return;
-    }
+  ForEachScanVertex(m, [&](VertexId v) {
     row[0] = Value(VertexRef{v});
     for (const auto& p : op.vertex_preds) {
       if (!eval_.EvalBool(p, row, self)) return;
     }
     out.col(0).push_back(row[0]);
-  };
-  if (m.partition >= 0) {
-    // Partition-local domain: the slice indexes the owned vertex list of
-    // one shard (real ownership — the legacy worker/W filter is the
-    // simulated partitioning and does not apply).
-    auto span = m.all ? pstore_->Vertices(m.partition)
-                      : pstore_->VerticesOfType(m.partition, m.type);
-    for (size_t i = m.begin; i < m.end; ++i) try_vertex(span[i]);
-  } else if (m.all) {
-    for (size_t i = m.begin; i < m.end; ++i) {
-      try_vertex(static_cast<VertexId>(i));
-    }
-  } else {
-    auto span = g_->VerticesOfType(m.type);
-    for (size_t i = m.begin; i < m.end; ++i) try_vertex(span[i]);
-  }
+  });
   return out;
 }
 
@@ -764,12 +735,9 @@ std::vector<uint32_t> Kernels::FilterSelection(const PhysOp& op,
   // Vectorized path: a flat batch whose predicate compiles to
   // column-vs-constant terms evaluates branch-free over the typed columns
   // (src/exec/vectorized.h), no per-row gather or expression walk.
-  // Property terms stay generic when a sharded store is attached so the
-  // owner-routed property reads keep going through ExprEval.
   if (vectorize_ && !in.factorized() && op.predicate != nullptr) {
-    auto cp = CompiledPredicate::Compile(*op.predicate, cmap, eval_.params(),
-                                         g_,
-                                         /*allow_property=*/pstore_ == nullptr);
+    auto cp =
+        CompiledPredicate::Compile(*op.predicate, cmap, eval_.params(), g_);
     if (cp != nullptr) {
       vec_dispatch_.fetch_add(1, std::memory_order_relaxed);
       cp->Select(in, &sel);

@@ -84,11 +84,9 @@ class Kernels {
   std::vector<ScanMorsel> ScanMorsels(const PhysOp& op,
                                       size_t morsel_rows) const;
 
-  /// Scans one morsel; with W > 1 only vertices owned by `worker` (id % W,
-  /// the legacy simulated partitioning — partitioned morsels carry real
-  /// ownership instead and ignore worker/W).
-  Batch ScanBatch(const PhysOp& op, const ScanMorsel& m, int worker = 0,
-                  int W = 1) const;
+  /// Scans one morsel: its slice of the scan domain, filtered by the
+  /// op's pushed vertex predicates.
+  Batch ScanBatch(const PhysOp& op, const ScanMorsel& m) const;
 
   /// The expansion kernels accept factorized input transparently (values
   /// resolve through the group mapping). With `factorize` they also emit
@@ -186,8 +184,6 @@ class Kernels {
 
   const ExprEval& eval() const { return eval_; }
   const PropertyGraph& graph() const { return *g_; }
-  /// The attached sharded store, or null on the legacy global store.
-  const PartitionedGraph* pstore() const { return pstore_; }
 
   /// Installs execution-time parameter bindings on the evaluator (see
   /// ExprEval::set_params). The map must outlive kernel execution.
@@ -221,6 +217,10 @@ class Kernels {
   /// else from the global store. Span contents are identical either way.
   Span<const AdjEntry> Adj(VertexId u, bool out) const;
   Span<const AdjEntry> Adj(VertexId u, bool out, TypeId etype) const;
+
+  /// Calls `f(v)` for every vertex in the slice morsel `m` covers.
+  template <typename F>
+  void ForEachScanVertex(const ScanMorsel& m, F&& f) const;
 
   /// Iterates adjacency entries of `u` in direction `dir` filtered by the
   /// edge type constraint; `reversed` in the callback is true when the data

@@ -195,8 +195,6 @@ Batch MorselExecutor::ApplyChain(const Pipeline& p, const Batch& shared,
 std::vector<Row> MorselExecutor::RunBreaker(const PhysOp& sink,
                                             std::vector<Row> rows) const {
   switch (sink.kind) {
-    case PhysOpKind::kAggregate:
-      return k_.Aggregate(sink, rows);
     case PhysOpKind::kOrder:
       return k_.SortLimit(sink, std::move(rows));
     case PhysOpKind::kLimit: {

@@ -151,7 +151,8 @@ class MorselExecutor {
   /// emission for the expansion kernels.
   Batch ApplyStreamingOp(const Pipeline& p, size_t i, const Batch& in) const;
   void RunUnionSink(const Pipeline& p);
-  /// Runs the sink's blocking kernel over the collected input rows.
+  /// Runs a row-needing sink's blocking kernel (sort, limit, dedup) over
+  /// the collected input rows; aggregates take AggregateBatchRows instead.
   std::vector<Row> RunBreaker(const PhysOp& sink, std::vector<Row> rows) const;
 
   Kernels k_;

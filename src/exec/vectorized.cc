@@ -433,7 +433,7 @@ void ApplyTermMask(size_t n, AccessFn at, const CompiledPredicate::Term& t,
 
 std::unique_ptr<CompiledPredicate> CompiledPredicate::Compile(
     const Expr& e, const ColMap& cols, const ParamMap* params,
-    const PropertyGraph* g, bool allow_property) {
+    const PropertyGraph* g) {
   auto cp = std::make_unique<CompiledPredicate>();
   std::vector<const Expr*> stack{&e};
   while (!stack.empty()) {
@@ -468,7 +468,7 @@ std::unique_ptr<CompiledPredicate> CompiledPredicate::Compile(
       if (it == cols.end()) return nullptr;
       t.col = it->second;
     } else if (colex->kind == Expr::Kind::kProperty) {
-      if (!allow_property || g == nullptr) return nullptr;
+      if (g == nullptr) return nullptr;
       const auto it = cols.find(colex->tag);
       if (it == cols.end()) return nullptr;
       t.col = it->second;

@@ -144,13 +144,12 @@ class CompiledPredicate {
   /// kLiteral/kParam (a right side that is not a list makes the whole
   /// conjunction false, as in ExprEval). Parameters resolve through
   /// `params` at compile time (per batch, not per row). Property terms
-  /// require `allow_property` — the engine passes false when a sharded
-  /// store is attached, keeping property reads owner-routed on that path.
+  /// need `g`; they read its whole-graph columns, which a sharded store's
+  /// partition slices copy value for value.
   static std::unique_ptr<CompiledPredicate> Compile(const Expr& e,
                                                     const ColMap& cols,
                                                     const ParamMap* params,
-                                                    const PropertyGraph* g,
-                                                    bool allow_property);
+                                                    const PropertyGraph* g);
 
   /// Appends the surviving physical positions of `in`'s active rows, in
   /// visit order, to `*sel` — the same contract as the generic

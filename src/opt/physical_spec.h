@@ -88,11 +88,12 @@ class HashJoinSpec : public JoinSpec {
 
 /// Communication profile of the store the CBO prices exchanges against —
 /// how the per-partition cardinality statistics of a sharded store
-/// (src/store/PartitionStats) feed plan costing. Without a profile every
-/// exchanged row is charged (the paper's model over the simulated
-/// per-operator re-hash); with one, vertex-ownership exchanges charge only
-/// the measured edge-cut fraction of the traversed edge types, and key
-/// re-hash exchanges charge the (P-1)/P fraction that actually moves.
+/// (src/store/PartitionStats) feed plan costing. Without a profile (an
+/// engine with no store, e.g. a single-machine engine costing for a
+/// distributed planning_backend) every exchanged row is charged; with one,
+/// vertex-ownership exchanges charge only the measured edge-cut fraction
+/// of the traversed edge types, and key re-hash exchanges charge the
+/// (P-1)/P fraction that actually moves.
 struct CommProfile {
   /// Fraction of rows a hash re-distribution moves off-worker: (P-1)/P on
   /// a P-partition store; 1 when no store is attached.

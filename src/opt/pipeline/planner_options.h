@@ -104,9 +104,10 @@ struct EngineOptions {
 
   /// Sharded graph storage (src/store/, docs/storage.md): number of
   /// partitions the engine shards its graph into at construction.
-  ///  - 0 (default): the unpartitioned legacy store — the distributed
-  ///    backend simulates worker partitioning per operator (pre-sharding
-  ///    behavior), the morsel runtime slices the global scan domain;
+  ///  - 0 (default): a distributed backend resolves it to its num_workers
+  ///    at engine construction (so its plans and cache keys are those of
+  ///    an explicit count); the morsel runtime keeps the unpartitioned
+  ///    store and slices the global scan domain;
   ///  - >= 1: a PartitionedGraph is built once; the distributed backend
   ///    runs one worker per partition with ownership-map exchanges (its
   ///    num_workers is overridden), and the morsel runtime scans

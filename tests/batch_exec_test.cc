@@ -261,13 +261,15 @@ TEST_F(BatchExecTest, DifferentialMorselSingleThread) {
   // `vectorize = false` (tests/vectorized_exec_test.cc) and NaiveMatch
   // (tests/executor_property_test.cc).
   auto seq = MakeEngine(1);
+  auto store =
+      PartitionedGraph::Build(ldbc_->graph.get(), PartitionPolicy::kHash, 1);
   for (const auto* set : {&QcQueries(), &QrQueries()}) {
     for (const auto& wq : *set) {
       auto prep = seq->Prepare(Q(wq.cypher));
       ASSERT_FALSE(prep.invalid) << wq.name;
       ParamMap bound = prep.params;
 
-      DistributedExecutor row_ex(ldbc_->graph.get(), 1);
+      DistributedExecutor row_ex(*store);
       row_ex.set_params(&bound);
       ResultTable want = row_ex.Execute(prep.physical);
 
@@ -307,12 +309,14 @@ TEST_F(BatchExecTest, MorselRuntimeRunsExpandIntersectPlans) {
   // against the distributed executor on those very plans.
   GOptEngine gs(ldbc_->graph.get(), BackendSpec::GraphScopeLike(4));
   gs.SetGlogue(*glogue_);
+  auto store =
+      PartitionedGraph::Build(ldbc_->graph.get(), PartitionPolicy::kHash, 4);
   for (const auto& wq : QcQueries()) {
     auto prep = gs.Prepare(Q(wq.cypher));
     ASSERT_FALSE(prep.invalid) << wq.name;
     ParamMap bound = prep.params;
 
-    DistributedExecutor dist(ldbc_->graph.get(), 4);
+    DistributedExecutor dist(*store);
     dist.set_params(&bound);
     ResultTable want = dist.Execute(prep.physical);
 
@@ -687,13 +691,15 @@ TEST_F(BatchExecTest, HashJoinRuntimesMatchNestedLoop) {
         }
       }
       for (int workers : {1, 2}) {
-        DistributedExecutor dist(g, workers);
+        auto store =
+            PartitionedGraph::Build(g, PartitionPolicy::kHash, workers);
+        DistributedExecutor dist(*store);
         ResultTable got = dist.Execute(join);
         ResultTable ref_table;
         ref_table.columns = join->out_cols;
         ref_table.rows = want;
         EXPECT_TRUE(ref_table.SameRows(got)) << "dist workers=" << workers;
-        DistributedExecutor dist_count(g, workers);
+        DistributedExecutor dist_count(*store);
         ResultTable got_count = dist_count.Execute(count);
         ResultTable ref_count;
         ref_count.columns = count->out_cols;

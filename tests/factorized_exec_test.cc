@@ -433,12 +433,14 @@ TEST_F(FactorizedExecTest, DifferentialAllWorkloadsModesThreadsPartitions) {
 TEST_F(FactorizedExecTest, RowsProducedParityAcrossRuntimes) {
   GOptEngine gs(ldbc_->graph.get(), BackendSpec::GraphScopeLike(4));
   gs.SetGlogue(*glogue_);
+  auto store =
+      PartitionedGraph::Build(ldbc_->graph.get(), PartitionPolicy::kHash, 4);
   for (const auto& wq : QcQueries()) {
     auto prep = gs.Prepare(Q(wq.cypher));
     ASSERT_FALSE(prep.invalid) << wq.name;
     ParamMap bound = prep.params;
 
-    DistributedExecutor dist(ldbc_->graph.get(), 4);
+    DistributedExecutor dist(*store);
     dist.set_params(&bound);
     ResultTable want = dist.Execute(prep.physical);
 

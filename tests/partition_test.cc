@@ -359,23 +359,26 @@ TEST_F(PartitionTest, DifferentialAllWorkloadsAcrossPartitionCounts) {
 }
 
 TEST_F(PartitionTest, DifferentialDistributedAcrossPartitionCounts) {
-  auto legacy = MakeDistEngine(/*partitions=*/0, /*workers=*/4);
-  for (int P : {1, 4}) {
+  // Reference: the Neo4j-like morsel engine on the unpartitioned store.
+  // partitions = 0 on the distributed backend means one partition per
+  // worker (here 4).
+  auto baseline = MakeEngine(/*partitions=*/0, /*exec_threads=*/1);
+  for (int P : {0, 1, 4}) {
     auto sharded = MakeDistEngine(P);
     for (const auto* set : {&QcQueries(), &QrQueries()}) {
       for (const auto& wq : *set) {
-        ExpectSameResults(*legacy, *sharded, Q(wq.cypher),
+        ExpectSameResults(*baseline, *sharded, Q(wq.cypher),
                           wq.name + " [dist P=" + std::to_string(P) + "]");
       }
     }
     // A couple of ORDER-heavy IC workloads through the merge path.
-    ExpectSameResults(*legacy, *sharded, Q(IcQueries()[0].cypher), "IC1");
-    ExpectSameResults(*legacy, *sharded, Q(IcQueries()[5].cypher), "IC6");
+    ExpectSameResults(*baseline, *sharded, Q(IcQueries()[0].cypher), "IC1");
+    ExpectSameResults(*baseline, *sharded, Q(IcQueries()[5].cypher), "IC6");
   }
   // The edge-cut policy changes ownership, never answers.
   auto edgecut = MakeDistEngine(4, 4, PartitionPolicy::kEdgeCut);
   for (const auto& wq : QcQueries()) {
-    ExpectSameResults(*legacy, *edgecut, Q(wq.cypher),
+    ExpectSameResults(*baseline, *edgecut, Q(wq.cypher),
                       wq.name + " [dist P=4 edgecut]");
   }
 }
@@ -409,15 +412,16 @@ uint64_t Fnv1a(const std::string& s) {
 
 TEST_F(PartitionTest, DistributedWorkCountsArePinned) {
   // The distributed executor's deterministic work counters on every
-  // bundled workload, in both storage modes, pinned as one digest per
-  // mode. A refactor of the executor or its kernels must leave every
-  // count unchanged; on a mismatch the per-query table is printed.
+  // bundled workload, pinned as one digest. A refactor of the executor or
+  // its kernels must leave every count unchanged; on a mismatch the
+  // per-query table is printed. partitions = 0 resolves to one partition
+  // per worker, so both rows run the same P = 3 hash store.
   struct Mode {
     const char* name;
     int partitions;
     uint64_t digest;
   };
-  const Mode modes[] = {{"legacy W=3", 0, 17778196219765108177ull},
+  const Mode modes[] = {{"partitions=0 W=3", 0, 11476428629080403166ull},
                         {"hash store P=3", 3, 11476428629080403166ull}};
   for (const Mode& m : modes) {
     auto eng = MakeDistEngine(m.partitions, /*workers=*/3);
@@ -468,23 +472,26 @@ TEST_F(PartitionTest, WorkerExceptionsReachTheCaller) {
 }
 
 TEST_F(PartitionTest, CommRowsBecomeEdgeCutOnMultiHopChain) {
-  // On the legacy simulated store every expansion re-hashes its output;
-  // on the sharded store the exchange is lazy (rows move only when a
-  // later expansion reads a differently-owned column), so a chain's final
-  // expansion ships nothing and comm_rows drops strictly below the
-  // pre-sharding baseline.
-  const std::string q = Q(
-      "MATCH (p:Person)-[:KNOWS]->(q:Person)-[:KNOWS]->(r:Person) "
-      "WHERE r.id <> p.id RETURN COUNT(r) AS c");
-  auto legacy = MakeDistEngine(/*partitions=*/0, /*workers=*/4);
+  // Exchange placement is lazy: a stream stays partitioned by the column
+  // it was last distributed on, and rows move only when an expansion
+  // reads adjacency of a differently-owned column. So a chain's final
+  // expansion ships nothing: a one-hop chain moves no row at all, and a
+  // two-hop chain moves at most its one-hop bindings (one staging of the
+  // middle vertex), never its far larger output.
   auto sharded = MakeDistEngine(/*partitions=*/4);
-  ExecOutcome a = legacy->Run(q);
-  ExecOutcome b = sharded->Run(q);
-  EXPECT_TRUE(a.SameRows(b));
-  EXPECT_GT(a.stats.comm_rows, 0u);
-  EXPECT_LT(b.stats.comm_rows, a.stats.comm_rows)
-      << "lazy partition-aware exchange must ship fewer rows than the "
-         "per-operator re-hash";
+  const std::string hop1 = Q(
+      "MATCH (p:Person)-[:KNOWS]->(q:Person) RETURN p.id AS a, q.id AS b");
+  const std::string hop2 = Q(
+      "MATCH (p:Person)-[:KNOWS]->(q:Person)-[:KNOWS]->(r:Person) "
+      "RETURN p.id AS a, q.id AS b, r.id AS c");
+  ExecOutcome one = sharded->Run(hop1);
+  ExecOutcome two = sharded->Run(hop2);
+  ASSERT_GT(one.NumRows(), 0u);
+  EXPECT_EQ(one.stats.comm_rows, 0u);
+  EXPECT_EQ(one.stats.exchanges, 0u);
+  EXPECT_LE(two.stats.exchanges, 1u);
+  EXPECT_LE(two.stats.comm_rows, one.NumRows());
+  EXPECT_GT(two.NumRows(), one.NumRows());
 }
 
 TEST_F(PartitionTest, EdgeCutPolicyReducesCommRowsVersusHash) {

@@ -309,8 +309,7 @@ class CompiledPredicateTest : public ::testing::Test {
   /// Compiles and runs the fast path; asserts the predicate compiled.
   std::vector<uint32_t> Fast(const ExprPtr& e,
                              const ParamMap* params = nullptr) {
-    auto cp = CompiledPredicate::Compile(*e, cols_, params, &g_,
-                                         /*allow_property=*/true);
+    auto cp = CompiledPredicate::Compile(*e, cols_, params, &g_);
     EXPECT_NE(cp, nullptr) << "expected the shape to compile";
     std::vector<uint32_t> sel;
     if (cp) cp->Select(batch_, &sel);
@@ -390,7 +389,7 @@ TEST_F(CompiledPredicateTest, ConjunctionsSplitIntoTerms) {
           Cmp(BinOp::kLt, Expr::MakeVar("b"), Expr::MakeLiteral(Value(4.0))),
           Cmp(BinOp::kEq, Expr::MakeVar("s"),
               Expr::MakeLiteral(Value("x")))));
-  auto cp = CompiledPredicate::Compile(*e, cols_, nullptr, &g_, true);
+  auto cp = CompiledPredicate::Compile(*e, cols_, nullptr, &g_);
   ASSERT_NE(cp, nullptr);
   EXPECT_EQ(cp->num_terms(), 3u);
   ExpectParity(e);
@@ -404,7 +403,7 @@ TEST_F(CompiledPredicateTest, ParamsResolveAtCompileTime) {
   eval_.set_params(nullptr);
   // Unbound parameter: must NOT compile (the generic path throws, and the
   // fast path silently evaluating would mask the contract violation).
-  EXPECT_EQ(CompiledPredicate::Compile(*e, cols_, nullptr, &g_, true),
+  EXPECT_EQ(CompiledPredicate::Compile(*e, cols_, nullptr, &g_),
             nullptr);
 }
 
@@ -415,15 +414,12 @@ TEST_F(CompiledPredicateTest, PropertyTermsReadHoistedColumns) {
                   Expr::MakeLiteral(Value(static_cast<int64_t>(150))));
   eval_.set_params(nullptr);
   ExpectParity(e);
-  // allow_property = false (sharded store attached): rejected.
-  EXPECT_EQ(CompiledPredicate::Compile(*e, cols_, nullptr, &g_, false),
-            nullptr);
 }
 
 TEST_F(CompiledPredicateTest, NullConstantIsAlwaysFalse) {
   ExprPtr e = Cmp(BinOp::kEq, Expr::MakeVar("a"),
                   Expr::MakeLiteral(Value()));
-  auto cp = CompiledPredicate::Compile(*e, cols_, nullptr, &g_, true);
+  auto cp = CompiledPredicate::Compile(*e, cols_, nullptr, &g_);
   ASSERT_NE(cp, nullptr);
   EXPECT_TRUE(cp->always_false());
   std::vector<uint32_t> sel;
@@ -441,18 +437,18 @@ TEST_F(CompiledPredicateTest, UnrecognizedShapesRefuseToCompile) {
                         Expr::MakeLiteral(Value(static_cast<int64_t>(1)))),
                     Cmp(BinOp::kEq, Expr::MakeVar("a"),
                         Expr::MakeLiteral(Value(static_cast<int64_t>(2))))),
-                cols_, nullptr, &g_, true),
+                cols_, nullptr, &g_),
             nullptr);
   // Column-vs-column.
   EXPECT_EQ(CompiledPredicate::Compile(
                 *Cmp(BinOp::kLt, Expr::MakeVar("a"), Expr::MakeVar("b")),
-                cols_, nullptr, &g_, true),
+                cols_, nullptr, &g_),
             nullptr);
   // Unknown column.
   EXPECT_EQ(CompiledPredicate::Compile(
                 *Cmp(BinOp::kEq, Expr::MakeVar("zz"),
                      Expr::MakeLiteral(Value(static_cast<int64_t>(1)))),
-                cols_, nullptr, &g_, true),
+                cols_, nullptr, &g_),
             nullptr);
   // Arithmetic inside the comparison.
   EXPECT_EQ(CompiledPredicate::Compile(
@@ -461,7 +457,7 @@ TEST_F(CompiledPredicateTest, UnrecognizedShapesRefuseToCompile) {
                          BinOp::kAdd, Expr::MakeVar("a"),
                          Expr::MakeLiteral(Value(static_cast<int64_t>(1)))),
                      Expr::MakeLiteral(Value(static_cast<int64_t>(2)))),
-                cols_, nullptr, &g_, true),
+                cols_, nullptr, &g_),
             nullptr);
 }
 
@@ -522,7 +518,7 @@ TEST_F(CompiledPredicateTest, InTermParamsAndNonListSides) {
   // row, in ExprEval and compiled alike.
   for (const char* name : {"scalar", "nothing"}) {
     ExprPtr bad = Cmp(BinOp::kIn, Expr::MakeVar("a"), Expr::MakeParam(name));
-    auto cp = CompiledPredicate::Compile(*bad, cols_, &params, &g_, true);
+    auto cp = CompiledPredicate::Compile(*bad, cols_, &params, &g_);
     ASSERT_NE(cp, nullptr) << name;
     EXPECT_TRUE(cp->always_false()) << name;
     EXPECT_EQ(Fast(bad, &params), Generic(bad)) << name;
@@ -533,14 +529,14 @@ TEST_F(CompiledPredicateTest, InTermParamsAndNonListSides) {
   EXPECT_EQ(Fast(lit), Generic(lit));
   eval_.set_params(nullptr);
   // Unbound list parameter and a list on the left: not compiled.
-  EXPECT_EQ(CompiledPredicate::Compile(*e, cols_, nullptr, &g_, true),
+  EXPECT_EQ(CompiledPredicate::Compile(*e, cols_, nullptr, &g_),
             nullptr);
   EXPECT_EQ(CompiledPredicate::Compile(
                 *Cmp(BinOp::kIn,
                      Expr::MakeLiteral(Value::List({Value(
                          static_cast<int64_t>(1))})),
                      Expr::MakeVar("a")),
-                cols_, nullptr, &g_, true),
+                cols_, nullptr, &g_),
             nullptr);
 }
 
@@ -562,7 +558,7 @@ TEST_F(CompiledPredicateTest, InTermsFilterScanVertexIds) {
   };
   for (const ExprPtr& e : preds) {
     SCOPED_TRACE(e->ToString());
-    auto cp = CompiledPredicate::Compile(*e, self, nullptr, &g_, true);
+    auto cp = CompiledPredicate::Compile(*e, self, nullptr, &g_);
     ASSERT_NE(cp, nullptr);
     std::vector<VertexId> got = {0, 1, 2, 7};  // 7: past the store
     cp->FilterVertexIds(&got);
@@ -741,6 +737,18 @@ TEST_F(IntersectKernelTest, ScanBatchCompiledPredicatesMatchGeneric) {
   EXPECT_GT(vec.vectorized_dispatches(), 0u);
   EXPECT_EQ(gen.vectorized_dispatches(), 0u);
 
+  // Store-attached: the property term compiles too (the partition slices
+  // copy the base columns), so the scan takes the fast path and matches
+  // the generic path over the same store.
+  auto store = PartitionedGraph::Build(&g_, PartitionPolicy::kHash, 2);
+  Kernels vec_store(&g_, store.get()), gen_store(&g_, store.get());
+  gen_store.set_vectorize(false);
+  const std::vector<Row> store_rows = ScanAll(vec_store, *scan);
+  EXPECT_EQ(store_rows.size(), 2u);  // scores 20 and 30
+  EXPECT_EQ(store_rows, ScanAll(gen_store, *scan));
+  EXPECT_GT(vec_store.vectorized_dispatches(), 0u);
+  EXPECT_EQ(vec_store.generic_dispatches(), 0u);
+
   // A predicate outside the compilable shape falls back per call and
   // counts as generic even with vectorize on.
   auto hard = std::make_shared<PhysOp>(*scan);
@@ -855,10 +863,10 @@ TEST_F(VectorizedExecTest, DifferentialAllWorkloadsAcrossConfigs) {
             << " threads=" << configs[i].threads
             << " partitions=" << configs[i].partitions;
         if (configs[i].vec) {
-          // Not asserted per query: a plan whose only dispatch-aware calls
-          // carry property terms legitimately stays generic on a sharded
-          // store (owner-routed reads). Across the workloads every
-          // vectorizing engine must take fast paths, though.
+          // Not asserted per query: a plan whose dispatch-aware calls all
+          // carry uncompilable predicates legitimately stays generic.
+          // Across the workloads every vectorizing engine must take fast
+          // paths, though.
           vec_total[i] += got.stats.vec_dispatch;
         } else {
           EXPECT_EQ(got.stats.vec_dispatch, 0u) << wq.name;
